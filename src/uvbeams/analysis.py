@@ -18,7 +18,7 @@ from .layout import (
     beam_radius,
     center_offset,
 )
-from .projection import GroundPoint, SatelliteState, UvPoint, horizon_limit, uv_to_earth
+from .projection import GroundPoint, SatelliteState, _line_of_sight, horizon_limit
 
 __all__ = [
     "BeamStats",
@@ -134,9 +134,8 @@ def project_footprints(
             b = verts[(i + 1) % 6]
             for j in range(samples_per_edge):
                 t = j / samples_per_edge
-                boundary.append(
-                    uv_to_earth(UvPoint(a.u + t * (b.u - a.u), a.v + t * (b.v - a.v)), sat)
-                )
+                ground = _line_of_sight(a.u + t * (b.u - a.u), a.v + t * (b.v - a.v), sat)[6:]
+                boundary.append(GroundPoint(*ground))
         boundary.append(boundary[0])
         footprints.append(Footprint(beam.id, tuple(boundary)))
     return footprints

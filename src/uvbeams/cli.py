@@ -85,13 +85,6 @@ def preset(set_name: str, scenario: str) -> ScenarioConfig:
     )
 
 
-def _fmt(value: float) -> str:
-    """CSV float format: 9 significant digits, no negative zero."""
-    if value == 0.0:
-        value = 0.0
-    return format(value, ".9g")
-
-
 def _config_dict(config: ScenarioConfig) -> dict:
     out = dataclasses.asdict(config)
     out["rings"] = config.ring_count
@@ -110,30 +103,50 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # CSV floats carry 9 significant digits; "+ 0.0" turns -0.0 into 0.0.
     with open(out_dir / "beams.csv", "w", encoding="utf-8", newline="") as f:
         f.write(BEAMS_CSV_HEADER + "\n")
-        for beam in layout.beams:
-            f.write(
-                f"{beam.id},{beam.index.q},{beam.index.r},"
-                f"{_fmt(beam.center_uv.u)},{_fmt(beam.center_uv.v)},"
-                f"{beam.color},{beam.role.value}\n"
+        f.writelines(
+            "%d,%d,%d,%.9g,%.9g,%d,%s\n"
+            % (
+                beam.id,
+                beam.index.q,
+                beam.index.r,
+                beam.center_uv.u + 0.0,
+                beam.center_uv.v + 0.0,
+                beam.color,
+                beam.role.value,
             )
+            for beam in layout.beams
+        )
 
     with open(out_dir / "ues.csv", "w", encoding="utf-8", newline="") as f:
         f.write(UES_CSV_HEADER + "\n")
-        for ue in ues:
-            f.write(
-                f"{ue.ue_id},{ue.beam_id},{_fmt(ue.uv.u)},{_fmt(ue.uv.v)},"
-                f"{_fmt(ue.ground.x_km)},{_fmt(ue.ground.y_km)},{_fmt(ue.ground.z_km)},"
-                f"{_fmt(ue.slant_range_km)},{_fmt(ue.elevation_deg)},"
-                f"{_fmt(ue.zod_deg)},{_fmt(ue.aod_deg)}\n"
+        f.writelines(
+            "%d,%d,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n"
+            % (
+                ue.ue_id,
+                ue.beam_id,
+                ue.uv.u + 0.0,
+                ue.uv.v + 0.0,
+                ue.ground.x_km + 0.0,
+                ue.ground.y_km + 0.0,
+                ue.ground.z_km + 0.0,
+                ue.slant_range_km + 0.0,
+                ue.elevation_deg + 0.0,
+                ue.zod_deg + 0.0,
+                ue.aod_deg + 0.0,
             )
+            for ue in ues
+        )
 
     with open(out_dir / "footprints.csv", "w", encoding="utf-8", newline="") as f:
         f.write(FOOTPRINTS_CSV_HEADER + "\n")
-        for fp in footprints:
-            for idx, p in enumerate(fp.boundary):
-                f.write(f"{fp.beam_id},{idx},{_fmt(p.x_km)},{_fmt(p.y_km)},{_fmt(p.z_km)}\n")
+        f.writelines(
+            "%d,%d,%.9g,%.9g,%.9g\n" % (fp.beam_id, idx, p.x_km + 0.0, p.y_km + 0.0, p.z_km + 0.0)
+            for fp in footprints
+            for idx, p in enumerate(fp.boundary)
+        )
 
     stats_doc = {
         "bins": bins,

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import BeamLayout, hexagon_vertices
-from .projection import GroundPoint, SatelliteState, UvPoint, los_geometry, uv_to_earth
+from .layout import _CORNER_UNIT, BeamLayout
+from .projection import GroundPoint, SatelliteState, UvPoint, _line_of_sight
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -55,20 +55,29 @@ def sample_point_in_hexagon(
 
     The hexagon is fanned into six congruent triangles around the centre;
     a uniform triangle index plus a reflected pair of uniforms gives an
-    exact, rejection-free draw (three values consumed from ``rng``).
+    exact, rejection-free draw.  Three values are consumed from ``rng``, in
+    this order: ``rng.integers(6)``, then two ``rng.random()``.  The order is
+    part of the byte-reproducibility contract of the drop.
     """
     if circumradius <= 0.0:
         raise ValueError(f"circumradius must be positive, got {circumradius}")
-    vertices = hexagon_vertices(center, circumradius)
     k = int(rng.integers(6))
-    a1, a2 = rng.random(2)
+    a1 = rng.random()
+    a2 = rng.random()
     if a1 + a2 > 1.0:
         a1, a2 = 1.0 - a1, 1.0 - a2
-    v0 = vertices[k]
-    v1 = vertices[(k + 1) % 6]
+    # Corners k and k + 1 of the fan triangle, computed as hexagon_vertices does.
+    cu = center.u
+    cv = center.v
+    c0u, c0v = _CORNER_UNIT[k]
+    c1u, c1v = _CORNER_UNIT[(k + 1) % 6]
+    v0u = cu + circumradius * c0u
+    v0v = cv + circumradius * c0v
+    v1u = cu + circumradius * c1u
+    v1v = cv + circumradius * c1v
     return UvPoint(
-        center.u + a1 * (v0.u - center.u) + a2 * (v1.u - center.u),
-        center.v + a1 * (v0.v - center.v) + a2 * (v1.v - center.v),
+        cu + a1 * (v0u - cu) + a2 * (v1u - cu),
+        cv + a1 * (v0v - cv) + a2 * (v1v - cv),
     )
 
 
@@ -87,19 +96,20 @@ def drop_ues(
     records: list[UeRecord] = []
     for beam in layout.beams:
         rng = beam_rng(seed, beam.id)
+        first_id = beam.id * ues_per_beam
         for k in range(ues_per_beam):
             uv = sample_point_in_hexagon(beam.center_uv, layout.beam_radius, rng)
-            los = los_geometry(uv, sat)
+            _, _, zod, aod, alpha, slant, x, y, z = _line_of_sight(uv.u, uv.v, sat)
             records.append(
                 UeRecord(
-                    ue_id=beam.id * ues_per_beam + k,
-                    beam_id=beam.id,
-                    uv=uv,
-                    ground=uv_to_earth(uv, sat),
-                    slant_range_km=los.slant_range_km,
-                    elevation_deg=math.degrees(los.elevation_rad),
-                    zod_deg=math.degrees(los.zod_rad),
-                    aod_deg=math.degrees(los.aod_rad),
+                    first_id + k,
+                    beam.id,
+                    uv,
+                    GroundPoint(x, y, z),
+                    slant,
+                    math.degrees(alpha),
+                    math.degrees(zod),
+                    math.degrees(aod),
                 )
             )
     return records

@@ -75,10 +75,12 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.earth_radius_km <= 0.0:
-            raise ValueError(f"earth radius must be positive, got {self.earth_radius_km}")
-        if self.altitude_km <= 0.0:
-            raise ValueError(f"altitude must be positive, got {self.altitude_km}")
+        if not (math.isfinite(self.earth_radius_km) and self.earth_radius_km > 0.0):
+            raise ValueError(
+                f"earth radius must be positive and finite, got {self.earth_radius_km}"
+            )
+        if not (math.isfinite(self.altitude_km) and self.altitude_km > 0.0):
+            raise ValueError(f"altitude must be positive and finite, got {self.altitude_km}")
         if not 0.0 < self.beamwidth_3db_deg < 180.0:
             raise ValueError(
                 f"3 dB beamwidth must lie in (0, 180) degrees, got {self.beamwidth_3db_deg}"

@@ -62,10 +62,12 @@ class SatelliteState:
     altitude_km: float
 
     def __post_init__(self) -> None:
-        if self.earth_radius_km <= 0.0:
-            raise ValueError(f"earth radius must be positive, got {self.earth_radius_km}")
-        if self.altitude_km <= 0.0:
-            raise ValueError(f"altitude must be positive, got {self.altitude_km}")
+        if not (math.isfinite(self.earth_radius_km) and self.earth_radius_km > 0.0):
+            raise ValueError(
+                f"earth radius must be positive and finite, got {self.earth_radius_km}"
+            )
+        if not (math.isfinite(self.altitude_km) and self.altitude_km > 0.0):
+            raise ValueError(f"altitude must be positive and finite, got {self.altitude_km}")
 
     @property
     def orbit_radius_km(self) -> float:
@@ -98,6 +100,42 @@ def horizon_limit(sat: SatelliteState) -> float:
     return sat.earth_radius_km / sat.orbit_radius_km
 
 
+def _line_of_sight(u: float, v: float, sat: SatelliteState) -> tuple[float, ...]:
+    """Shared kernel of :func:`los_geometry` and :func:`uv_to_earth`.
+
+    Returns ``(d_uv, omega, zod, aod, elevation, slant_km, x_km, y_km,
+    z_km)`` for one UV point, so a caller that needs both the link angles
+    and the ground point solves the triangle once.
+    """
+    r_e = sat.earth_radius_km
+    a = sat.altitude_km
+    r_s = r_e + a
+    d_uv = math.hypot(u, v)
+    limit = r_e / r_s
+    # Written so that a NaN radius fails the test too.
+    if not d_uv <= limit:
+        raise HorizonError(
+            f"UV radius {d_uv:.9g} is beyond the horizon limit {limit:.9g} "
+            f"(earth radius {r_e:.9g} km, altitude {a:.9g} km)"
+        )
+    omega = math.asin(d_uv)
+    zod = math.pi - omega
+    aod = math.atan2(v, u)
+    # sin(zod) equals d_uv analytically; the min() only absorbs float
+    # round-off so the arccos stays defined at the horizon boundary.
+    cos_alpha = min(1.0, r_s * d_uv / r_e)
+    alpha = math.acos(cos_alpha)
+    sin_alpha = math.sin(alpha)
+    slant = -r_e * sin_alpha + math.sqrt(r_e * r_e * sin_alpha * sin_alpha + a * a + 2.0 * r_e * a)
+    # The departure direction (zod, aod) scaled by the slant range is the
+    # satellite-to-ground displacement.
+    sin_zod = math.sin(zod)
+    x = slant * sin_zod * math.cos(aod)
+    y = slant * sin_zod * math.sin(aod)
+    z = r_s + slant * math.cos(zod)
+    return d_uv, omega, zod, aod, alpha, slant, x, y, z
+
+
 def los_geometry(p_uv: UvPoint, sat: SatelliteState) -> LosGeometry:
     """Solve the line-of-sight triangle for one UV point.
 
@@ -109,37 +147,11 @@ def los_geometry(p_uv: UvPoint, sat: SatelliteState) -> LosGeometry:
         cos(alpha) = (r_E + a) * sin(zod) / r_E
         d = -r_E * sin(alpha) + sqrt(r_E^2 * sin^2(alpha) + a^2 + 2 * r_E * a)
 
-    Raises :class:`HorizonError` when ``|uv|`` exceeds ``r_E / (r_E + a)``;
-    points past the horizon are rejected rather than clamped because a clamp
-    would silently bias downstream statistics.
+    Raises :class:`HorizonError` when ``|uv|`` exceeds ``r_E / (r_E + a)``
+    or is not a number; points past the horizon are rejected rather than
+    clamped because a clamp would silently bias downstream statistics.
     """
-    r_e = sat.earth_radius_km
-    r_s = sat.orbit_radius_km
-    d_uv = math.hypot(p_uv.u, p_uv.v)
-    limit = r_e / r_s
-    if d_uv > limit:
-        raise HorizonError(
-            f"UV radius {d_uv:.9g} is beyond the horizon limit {limit:.9g} "
-            f"(earth radius {r_e:.9g} km, altitude {sat.altitude_km:.9g} km)"
-        )
-    omega = math.asin(d_uv)
-    zod = math.pi - omega
-    aod = math.atan2(p_uv.v, p_uv.u)
-    # sin(zod) equals d_uv analytically; the min() only absorbs float
-    # round-off so the arccos stays defined at the horizon boundary.
-    cos_alpha = min(1.0, r_s * d_uv / r_e)
-    alpha = math.acos(cos_alpha)
-    sin_alpha = math.sin(alpha)
-    a = sat.altitude_km
-    slant = -r_e * sin_alpha + math.sqrt(r_e * r_e * sin_alpha * sin_alpha + a * a + 2.0 * r_e * a)
-    return LosGeometry(
-        d_uv=d_uv,
-        omega_rad=omega,
-        zod_rad=zod,
-        aod_rad=aod,
-        elevation_rad=alpha,
-        slant_range_km=slant,
-    )
+    return LosGeometry(*_line_of_sight(p_uv.u, p_uv.v, sat)[:6])
 
 
 def uv_to_earth(p_uv: UvPoint, sat: SatelliteState) -> GroundPoint:
@@ -149,12 +161,7 @@ def uv_to_earth(p_uv: UvPoint, sat: SatelliteState) -> GroundPoint:
     the slant range gives the satellite-to-ground displacement; adding the
     satellite position lands on the sphere.
     """
-    los = los_geometry(p_uv, sat)
-    sin_zod = math.sin(los.zod_rad)
-    dx = los.slant_range_km * sin_zod * math.cos(los.aod_rad)
-    dy = los.slant_range_km * sin_zod * math.sin(los.aod_rad)
-    dz = los.slant_range_km * math.cos(los.zod_rad)
-    return GroundPoint(dx, dy, sat.orbit_radius_km + dz)
+    return GroundPoint(*_line_of_sight(p_uv.u, p_uv.v, sat)[6:])
 
 
 def earth_to_uv(p_u: GroundPoint, sat: SatelliteState, on_sphere_tol: float = 1e-6) -> UvPoint:

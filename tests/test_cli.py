@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import uvbeams
 from uvbeams import ScenarioConfig, preset, run, scenario_summary
 from uvbeams.cli import (
     BEAMS_CSV_HEADER,
@@ -169,6 +174,23 @@ class TestMain:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--altitude-km", "nan"),
+            ("--beamwidth-deg", "nan"),
+            ("--earth-radius-km", "inf"),
+            ("--elevation-deg", "nan"),
+        ],
+    )
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, flag, value):
+        argv = {"--beamwidth-deg": "4.4127", "--altitude-km": "1200", flag: value}
+        out = tmp_path / "o"
+        code = main([arg for pair in argv.items() for arg in pair] + ["--out", str(out)])
+        assert code == 1
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_preset_is_config_error(self, tmp_path, capsys):
         assert main(["--preset", "set9:leo_s", "--out", str(tmp_path / "o")]) == 1
         capsys.readouterr()
@@ -203,3 +225,31 @@ class TestMain:
         code = main(["--preset", "set1:leo_s", "--out", str(blocker / "sub")])
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    def _run(self, *args):
+        src = str(Path(uvbeams.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, "-m", "uvbeams", *args],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+
+    def test_python_m_uvbeams_runs_main(self, tmp_path):
+        out = tmp_path / "o"
+        proc = self._run(
+            "--preset", "set1:leo_s", "--rings", "1", "--ues-per-beam", "2", "--out", str(out)
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "7 beams, 14 UEs" in proc.stdout
+        assert sorted(p.name for p in out.iterdir()) == sorted(OUTPUT_FILES)
+
+    def test_python_m_uvbeams_exit_code(self, tmp_path):
+        proc = self._run(
+            "--beamwidth-deg", "4.4127", "--altitude-km", "nan", "--out", str(tmp_path / "o")
+        )
+        assert proc.returncode == 1
+        assert "altitude" in proc.stderr

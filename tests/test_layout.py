@@ -187,6 +187,12 @@ class TestScenarioConfig:
             {"ues_per_beam": 0},
             {"seed": -1},
             {"seed": 2**64},
+            {"beamwidth_3db_deg": math.nan},
+            {"altitude_km": math.nan},
+            {"altitude_km": math.inf},
+            {"earth_radius_km": math.nan},
+            {"earth_radius_km": math.inf},
+            {"center_elevation_deg": math.nan},
         ],
     )
     def test_validation(self, kwargs):

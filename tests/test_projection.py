@@ -45,7 +45,19 @@ class TestSatelliteState:
         assert leo_sat.orbit_radius_km == R_S
         assert leo_sat.position_km() == (0.0, 0.0, R_S)
 
-    @pytest.mark.parametrize("re,alt", [(0.0, 1200.0), (-1.0, 1200.0), (6371.0, 0.0), (6371.0, -5.0)])
+    @pytest.mark.parametrize(
+        "re,alt",
+        [
+            (0.0, 1200.0),
+            (-1.0, 1200.0),
+            (6371.0, 0.0),
+            (6371.0, -5.0),
+            (math.nan, 1200.0),
+            (math.inf, 1200.0),
+            (6371.0, math.nan),
+            (6371.0, math.inf),
+        ],
+    )
     def test_validation(self, re, alt):
         with pytest.raises(ValueError):
             SatelliteState(re, alt)
@@ -102,6 +114,15 @@ class TestLosGeometry:
             los_geometry(UvPoint(0.8416, 0.0), leo_sat)
         with pytest.raises(HorizonError):
             los_geometry(UvPoint(0.0, -0.9), leo_sat)
+
+    @pytest.mark.parametrize("u,v", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)])
+    def test_nan_raises(self, leo_sat, u, v):
+        # A NaN radius must not slip through the horizon test as a finite
+        # slant range.
+        with pytest.raises(HorizonError):
+            los_geometry(UvPoint(u, v), leo_sat)
+        with pytest.raises(HorizonError):
+            uv_to_earth(UvPoint(u, v), leo_sat)
 
     def test_zod_is_pi_minus_omega_exactly(self, leo_sat):
         for u, v in uv_disk_points(200, horizon_limit(leo_sat), seed=5):
