@@ -78,40 +78,60 @@ def beam_stats(ues: list[UeRecord], layout: BeamLayout, bins: int = 50) -> list[
     if not ues:
         raise ValueError("no UE records to aggregate")
     roles = {beam.id: beam.role for beam in layout.beams}
-    by_beam: dict[int, list[UeRecord]] = {}
-    for ue in ues:
-        by_beam.setdefault(ue.beam_id, []).append(ue)
-    all_slants = np.array([ue.slant_range_km for ue in ues])
-    lo = float(all_slants.min())
-    hi = float(all_slants.max())
-    degenerate = hi <= lo
-    edges = np.array([lo, hi]) if degenerate else np.linspace(lo, hi, bins + 1)
-    stats = []
-    for beam_id in sorted(by_beam):
-        group = by_beam[beam_id]
-        slants = np.array([ue.slant_range_km for ue in group])
-        elevations = np.array([ue.elevation_deg for ue in group])
-        if degenerate:
-            histogram = ((lo, hi, len(group)),)
-        else:
-            counts, _ = np.histogram(slants, bins=edges)
-            histogram = tuple(
-                (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(len(counts))
-            )
-        stats.append(
-            BeamStats(
-                beam_id=beam_id,
-                role=roles[beam_id],
-                ue_count=len(group),
-                min_slant_km=float(slants.min()),
-                max_slant_km=float(slants.max()),
-                mean_slant_km=float(slants.mean()),
-                min_elevation_deg=float(elevations.min()),
-                max_elevation_deg=float(elevations.max()),
-                histogram=histogram,
-            )
+    n = len(ues)
+    beam_ids = np.fromiter((ue.beam_id for ue in ues), np.int64, n)
+    slants = np.fromiter((ue.slant_range_km for ue in ues), np.float64, n)
+    elevations = np.fromiter((ue.elevation_deg for ue in ues), np.float64, n)
+    lo = float(slants.min())
+    hi = float(slants.max())
+
+    # One stable sort groups the UEs by beam and keeps each beam's UEs in
+    # input order, so a group is the same contiguous array the beam's own
+    # list would give (its pairwise-summed mean has the same bits).
+    order = np.argsort(beam_ids, kind="stable")
+    beam_ids = beam_ids[order]
+    slants = slants[order]
+    elevations = elevations[order]
+    starts = np.flatnonzero(np.diff(beam_ids, prepend=beam_ids[0] - 1))
+    ends = np.append(starts[1:], n)
+
+    if hi <= lo:
+        bin_lo, bin_hi = [lo], [hi]
+        counts = (ends - starts)[:, None]
+    else:
+        # np.histogram's edge rule: bin i holds edges[i] <= x < edges[i + 1],
+        # and the last bin is closed on the right.
+        edges = np.linspace(lo, hi, bins + 1)
+        bin_lo, bin_hi = edges[:-1].tolist(), edges[1:].tolist()
+        bin_of_ue = np.minimum(np.searchsorted(edges, slants, "right") - 1, bins - 1)
+        group_of_ue = np.repeat(np.arange(len(starts)), ends - starts)
+        counts = np.bincount(group_of_ue * bins + bin_of_ue, minlength=len(starts) * bins)
+        counts = counts.reshape(len(starts), bins)
+
+    columns = zip(
+        beam_ids[starts].tolist(),
+        starts.tolist(),
+        ends.tolist(),
+        np.minimum.reduceat(slants, starts).tolist(),
+        np.maximum.reduceat(slants, starts).tolist(),
+        np.minimum.reduceat(elevations, starts).tolist(),
+        np.maximum.reduceat(elevations, starts).tolist(),
+        counts.tolist(),
+    )
+    return [
+        BeamStats(
+            beam_id=beam_id,
+            role=roles[beam_id],
+            ue_count=end - start,
+            min_slant_km=min_slant,
+            max_slant_km=max_slant,
+            mean_slant_km=float(slants[start:end].mean()),
+            min_elevation_deg=min_elev,
+            max_elevation_deg=max_elev,
+            histogram=tuple(zip(bin_lo, bin_hi, row)),
         )
-    return stats
+        for beam_id, start, end, min_slant, max_slant, min_elev, max_elev, row in columns
+    ]
 
 
 def project_footprints(

@@ -13,9 +13,10 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
-from .analysis import beam_stats, project_footprints, scenario_summary
+from .analysis import BeamStats, beam_stats, project_footprints, scenario_summary
 from .deployment import RNG_ALGORITHM, RNG_STREAM_RULE, drop_ues
 from .layout import ScenarioConfig, build_layout
 from .projection import HorizonError
@@ -91,6 +92,80 @@ def _config_dict(config: ScenarioConfig) -> dict:
     return out
 
 
+# The text json.dump(doc, f, indent=2) writes for the stats document, as
+# %-templates.  Floats go through %r, which is float.__repr__, the form json
+# uses for finite floats; the pipeline's slant ranges and elevations are
+# always finite.  Role values are plain identifiers that need no escaping.
+_STATS_HEAD = """{
+  "bins": %d,
+  "global": {
+    "ue_count": %d,
+    "min_slant_km": %r,
+    "max_slant_km": %r
+  },
+  "beams": [
+"""
+_STATS_BEAM = """    {
+      "beam_id": %d,
+      "role": "%s",
+      "ue_count": %d,
+      "min_slant_km": %r,
+      "max_slant_km": %r,
+      "mean_slant_km": %r,
+      "min_elevation_deg": %r,
+      "max_elevation_deg": %r,
+      "histogram": [
+%s
+      ]
+    }"""
+_STATS_BIN = """        [
+          %r,
+          %r,
+          %%d
+        ]"""
+_STATS_TAIL = "\n  ]\n}\n"
+
+
+def _stats_json(stats: list[BeamStats], bins: int, ue_count: int) -> Iterator[str]:
+    """Yield ``stats.json`` one beam at a time.
+
+    The text is byte-identical to ``json.dump(doc, f, indent=2)`` followed by
+    a newline, where ``doc`` holds the bin count, the global UE count and
+    slant extrema, and one object per beam with its histogram as
+    ``[lo, hi, count]`` lists.  Each distinct sequence of bin bounds is
+    rendered once; a beam's histogram is then one format call.
+    """
+    yield _STATS_HEAD % (
+        bins,
+        ue_count,
+        min(s.min_slant_km for s in stats),
+        max(s.max_slant_km for s in stats),
+    )
+    # Histogram text per distinct bin-bound sequence, with a %d per count.
+    templates: dict[tuple, str] = {}
+    separator = ""
+    for s in stats:
+        los, his, counts = zip(*s.histogram)
+        template = templates.get((los, his))
+        if template is None:
+            template = templates[(los, his)] = ",\n".join(
+                _STATS_BIN % bounds for bounds in zip(los, his)
+            )
+        yield separator + _STATS_BEAM % (
+            s.beam_id,
+            s.role.value,
+            s.ue_count,
+            s.min_slant_km,
+            s.max_slant_km,
+            s.mean_slant_km,
+            s.min_elevation_deg,
+            s.max_elevation_deg,
+            template % counts,
+        )
+        separator = ",\n"
+    yield _STATS_TAIL
+
+
 def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int = 8) -> RunManifest:
     """Run the full pipeline and write the output files into ``out_dir``."""
     layout = build_layout(config)
@@ -148,31 +223,8 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
             for idx, p in enumerate(fp.boundary)
         )
 
-    stats_doc = {
-        "bins": bins,
-        "global": {
-            "ue_count": len(ues),
-            "min_slant_km": min(s.min_slant_km for s in stats),
-            "max_slant_km": max(s.max_slant_km for s in stats),
-        },
-        "beams": [
-            {
-                "beam_id": s.beam_id,
-                "role": s.role.value,
-                "ue_count": s.ue_count,
-                "min_slant_km": s.min_slant_km,
-                "max_slant_km": s.max_slant_km,
-                "mean_slant_km": s.mean_slant_km,
-                "min_elevation_deg": s.min_elevation_deg,
-                "max_elevation_deg": s.max_elevation_deg,
-                "histogram": [[lo, hi, count] for lo, hi, count in s.histogram],
-            }
-            for s in stats
-        ],
-    }
     with open(out_dir / "stats.json", "w", encoding="utf-8") as f:
-        json.dump(stats_doc, f, indent=2)
-        f.write("\n")
+        f.writelines(_stats_json(stats, bins, len(ues)))
 
     manifest = RunManifest(
         version=__version__,

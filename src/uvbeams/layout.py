@@ -10,6 +10,7 @@ corners at 30 + 60k degrees.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -75,6 +76,14 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("frf", "rings", "ues_per_beam", "seed"):
+            value = getattr(self, name)
+            if name == "rings" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            # NumPy integers become Python ints, which the JSON manifest holds.
+            object.__setattr__(self, name, int(value))
         if not (math.isfinite(self.earth_radius_km) and self.earth_radius_km > 0.0):
             raise ValueError(
                 f"earth radius must be positive and finite, got {self.earth_radius_km}"
@@ -195,15 +204,19 @@ def hex_grid(rings: int) -> list[HexIndex]:
     """
     if rings < 0:
         raise ValueError(f"ring count must be non-negative, got {rings}")
-    cells = [HexIndex(0, 0)]
+    return list(_hex_cells(rings))
+
+
+def _hex_cells(rings: int) -> Iterator[HexIndex]:
+    """Lazy :func:`hex_grid`: cells are made only as they are consumed."""
+    yield HexIndex(0, 0)
     for n in range(1, rings + 1):
         q, r = n, 0
         for dq, dr in _RING_WALK:
             for _ in range(n):
-                cells.append(HexIndex(q, r))
+                yield HexIndex(q, r)
                 q += dq
                 r += dr
-    return cells
 
 
 def frf_color(index: HexIndex, frf: int) -> int:
@@ -242,6 +255,8 @@ def build_layout(config: ScenarioConfig) -> BeamLayout:
     Beam ids follow :func:`hex_grid` order.  The build aborts with
     :class:`HorizonError` if any beam hexagon would poke past the horizon
     disk, because points beyond it cannot be projected onto the Earth.
+    Cells are enumerated lazily, so a ring count far past the horizon fails
+    at the first beam outside it instead of listing every cell first.
     """
     radius = beam_radius(config.beamwidth_3db_deg)
     spacing = SQRT3 * radius
@@ -250,7 +265,7 @@ def build_layout(config: ScenarioConfig) -> BeamLayout:
     )
     limit = horizon_limit(config.satellite())
     beams = []
-    for i, idx in enumerate(hex_grid(config.ring_count)):
+    for i, idx in enumerate(_hex_cells(config.ring_count)):
         center = UvPoint(
             u_c + spacing * (idx.q + 0.5 * idx.r),
             spacing * (_SQRT3_2 * idx.r),

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import uvbeams
@@ -120,6 +121,27 @@ class TestRun:
         )
         run(cfg, tmp_path / "a")
         run(cfg, tmp_path / "b")
+        for name in OUTPUT_FILES:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_numpy_integer_config_matches_int_config(self, tmp_path):
+        # NumPy integers are integral: the config stores them as ints, so the
+        # JSON manifest can hold them and every file matches the int run.
+        def config(frf, rings, ues_per_beam, seed):
+            return ScenarioConfig(
+                beamwidth_3db_deg=4.4127,
+                altitude_km=1200.0,
+                frf=frf,
+                rings=rings,
+                ues_per_beam=ues_per_beam,
+                seed=seed,
+            )
+
+        cfg = config(np.int64(3), np.int32(1), np.int16(3), np.uint64(2**63 + 1))
+        assert cfg == config(3, 1, 3, 2**63 + 1)
+        assert {type(v) for v in (cfg.frf, cfg.rings, cfg.ues_per_beam, cfg.seed)} == {int}
+        run(cfg, tmp_path / "a")
+        run(config(3, 1, 3, 2**63 + 1), tmp_path / "b")
         for name in OUTPUT_FILES:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 

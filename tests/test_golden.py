@@ -1,4 +1,4 @@
-"""Golden SHA-256 digests of every output file for three fixed configs.
+"""Golden SHA-256 digests of every output file for four fixed configs.
 
 The bytes of the five files are the package's behaviour contract: a change
 that alters any digest changes the output and needs a version bump, not an
@@ -27,6 +27,16 @@ CONFIGS = {
     "odd": ScenarioConfig(
         beamwidth_3db_deg=4.4127, altitude_km=1200.0, frf=1, rings=4, ues_per_beam=7, seed=2**63 + 5
     ),
+    # One nadir beam with one UE: the slant range has zero width, so the
+    # histogram takes the one-bin branch.
+    "nadir": ScenarioConfig(
+        beamwidth_3db_deg=4.4127,
+        altitude_km=1200.0,
+        rings=0,
+        center_elevation_deg=90.0,
+        ues_per_beam=1,
+        seed=11,
+    ),
 }
 
 GOLDEN = {
@@ -50,6 +60,13 @@ GOLDEN = {
         "footprints.csv": "fcc51d0dfbda65b95a7398cee7247cabe1a60c738f4a371aa7778669f1258ab1",
         "stats.json": "dc76f038d85d4e14b3f345e710763f42ac9fe7e2e7df2a1bbf2dd8ab0d4d3a66",
         "manifest.json": "3f8b9a9c31eddf84d656bce1abb234de5f6f05ee0984e747f0e09600e5ee12ad",
+    },
+    "nadir": {
+        "beams.csv": "1b50596f31c5ae12dcabd5b298d46970d0147d79837b9e47963dbef124f3d8bb",
+        "ues.csv": "b3d611675ba9fb5d4c1ede469c85ca0d9ae7138c79c239c5b707ba6f1ceb5dd7",
+        "footprints.csv": "7da57f42a5b60fc7c27bfc7b113422280fa0b8cae69e8e122e1a86cf523385bf",
+        "stats.json": "de542b78d3cadc9368a33b71cc8dcc9254635467c44dab62f5e07d9868a842b3",
+        "manifest.json": "9a8d3604e231baf8d93bdf80f5928424b3829ee378a9a8c655af8fa69eb25284",
     },
 }
 

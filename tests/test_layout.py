@@ -21,6 +21,7 @@ from uvbeams import (
     hexagon_contains,
     hexagon_vertices,
 )
+from uvbeams import layout as layout_module
 from uvbeams.layout import SQRT3, BeamRole
 
 # TR 38.821 parameter sets: (beamwidth deg, spacing rounded to 4 decimals).
@@ -193,6 +194,16 @@ class TestScenarioConfig:
             {"earth_radius_km": math.nan},
             {"earth_radius_km": math.inf},
             {"center_elevation_deg": math.nan},
+            {"ues_per_beam": 2.5},
+            {"ues_per_beam": 10.0},
+            {"ues_per_beam": True},
+            {"seed": True},
+            {"seed": 1.0},
+            {"seed": "7"},
+            {"rings": True},
+            {"rings": 2.0},
+            {"frf": True},
+            {"frf": 3.0},
         ],
     )
     def test_validation(self, kwargs):
@@ -292,3 +303,28 @@ class TestBuildLayout:
                     center_elevation_deg=0.0001,
                 )
             )
+
+    def test_horizon_check_stops_ring_enumeration(self, monkeypatch):
+        # set2:leo_s already leaves the horizon within its default 4 rings, so
+        # 50 rings must fail at the same beam, after only the cells before it.
+        def build(rings):
+            config = ScenarioConfig(beamwidth_3db_deg=8.832, altitude_km=1200.0, rings=rings)
+            with pytest.raises(HorizonError) as info:
+                build_layout(config)
+            return str(info.value)
+
+        expected = build(4)
+        yielded = []
+        cells = layout_module._hex_cells
+
+        def counting_cells(rings):
+            for cell in cells(rings):
+                yielded.append(cell)
+                yield cell
+
+        monkeypatch.setattr(layout_module, "_hex_cells", counting_cells)
+        message = build(50)
+        assert message == expected
+        first_bad = int(message.split()[1])
+        assert len(yielded) == first_bad + 1
+        assert yielded[-1].ring() <= 4

@@ -1,32 +1,44 @@
-"""The hot per-point functions against straightforward reference versions.
+"""The hot functions against straightforward reference versions.
 
 The references below are the original, unoptimised implementations of the
-hexagon sampler and the line-of-sight projection.  The package versions must
-reproduce them exactly (``==``, not a tolerance): same draws from the
-generator in the same order, same floating-point operations.
+hexagon sampler, the line-of-sight projection and the per-beam statistics,
+and the ``json.dump`` document the ``stats.json`` writer replaces.  The
+package versions must reproduce them exactly (``==``, not a tolerance): same
+draws from the generator in the same order, same floating-point operations,
+same bytes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
 import math
+import random
 
+import numpy as np
 import pytest
 
 from conftest import uv_disk_points
+from test_golden import CONFIGS
 from uvbeams import (
+    BeamStats,
     GroundPoint,
     HorizonError,
     LosGeometry,
     SatelliteState,
     UvPoint,
     beam_rng,
+    beam_stats,
+    build_layout,
+    drop_ues,
     hexagon_vertices,
     horizon_limit,
     los_geometry,
     sample_point_in_hexagon,
     uv_to_earth,
 )
+from uvbeams.cli import _stats_json
 
 
 def ref_sample_point_in_hexagon(center, circumradius, rng):
@@ -68,6 +80,69 @@ def ref_uv_to_earth(p_uv, sat):
     dy = los.slant_range_km * sin_zod * math.sin(los.aod_rad)
     dz = los.slant_range_km * math.cos(los.zod_rad)
     return GroundPoint(dx, dy, sat.orbit_radius_km + dz)
+
+
+def ref_beam_stats(ues, layout, bins=50):
+    roles = {beam.id: beam.role for beam in layout.beams}
+    by_beam = {}
+    for ue in ues:
+        by_beam.setdefault(ue.beam_id, []).append(ue)
+    all_slants = np.array([ue.slant_range_km for ue in ues])
+    lo = float(all_slants.min())
+    hi = float(all_slants.max())
+    degenerate = hi <= lo
+    edges = np.array([lo, hi]) if degenerate else np.linspace(lo, hi, bins + 1)
+    stats = []
+    for beam_id in sorted(by_beam):
+        group = by_beam[beam_id]
+        slants = np.array([ue.slant_range_km for ue in group])
+        elevations = np.array([ue.elevation_deg for ue in group])
+        if degenerate:
+            histogram = ((lo, hi, len(group)),)
+        else:
+            counts, _ = np.histogram(slants, bins=edges)
+            histogram = tuple(
+                (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(len(counts))
+            )
+        stats.append(
+            BeamStats(
+                beam_id=beam_id,
+                role=roles[beam_id],
+                ue_count=len(group),
+                min_slant_km=float(slants.min()),
+                max_slant_km=float(slants.max()),
+                mean_slant_km=float(slants.mean()),
+                min_elevation_deg=float(elevations.min()),
+                max_elevation_deg=float(elevations.max()),
+                histogram=histogram,
+            )
+        )
+    return stats
+
+
+def ref_stats_doc(stats, bins, ue_count):
+    return {
+        "bins": bins,
+        "global": {
+            "ue_count": ue_count,
+            "min_slant_km": min(s.min_slant_km for s in stats),
+            "max_slant_km": max(s.max_slant_km for s in stats),
+        },
+        "beams": [
+            {
+                "beam_id": s.beam_id,
+                "role": s.role.value,
+                "ue_count": s.ue_count,
+                "min_slant_km": s.min_slant_km,
+                "max_slant_km": s.max_slant_km,
+                "mean_slant_km": s.mean_slant_km,
+                "min_elevation_deg": s.min_elevation_deg,
+                "max_elevation_deg": s.max_elevation_deg,
+                "histogram": [[lo, hi, count] for lo, hi, count in s.histogram],
+            }
+            for s in stats
+        ],
+    }
 
 
 def outcome(fn, *args):
@@ -124,3 +199,52 @@ def test_projection_matches_reference_at_horizon(sat):
     for p in points:
         assert outcome(los_geometry, p, sat) == outcome(ref_los_geometry, p, sat)
         assert outcome(uv_to_earth, p, sat) == outcome(ref_uv_to_earth, p, sat)
+
+
+@pytest.fixture(scope="module")
+def golden_drops():
+    drops = {}
+    for name in ("dense", "wide", "odd"):
+        config = CONFIGS[name]
+        layout = build_layout(config)
+        drops[name] = (layout, drop_ues(layout, config.satellite(), config.ues_per_beam, config.seed))
+    return drops
+
+
+def on_bin_edges(ues, bins):
+    """The UEs with slant ranges moved onto the bin edges of their own range,
+    cycling through every edge, so each edge is hit by several UEs."""
+    slants = [ue.slant_range_km for ue in ues]
+    edges = np.linspace(min(slants), max(slants), bins + 1).tolist()
+    return [
+        dataclasses.replace(ue, slant_range_km=edges[i % len(edges)]) for i, ue in enumerate(ues)
+    ]
+
+
+def shuffled(ues):
+    out = list(ues)
+    random.Random(5).shuffle(out)
+    return out
+
+
+VARIANTS = {
+    "as_dropped": lambda ues, bins: ues,
+    "shuffled": lambda ues, bins: shuffled(ues),
+    "single_ue": lambda ues, bins: ues[len(ues) // 2 : len(ues) // 2 + 1],
+    "on_bin_edges": lambda ues, bins: shuffled(on_bin_edges(ues, bins)),
+}
+
+
+@pytest.mark.parametrize("bins", [1, 7, 50])
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("name", ["dense", "wide", "odd"])
+def test_beam_stats_and_stats_json_match_reference(golden_drops, name, variant, bins):
+    layout, ues = golden_drops[name]
+    ues = VARIANTS[variant](ues, bins)
+    stats = beam_stats(ues, layout, bins)
+    assert stats == ref_beam_stats(ues, layout, bins)
+    expected = json.dumps(ref_stats_doc(stats, bins, len(ues)), indent=2) + "\n"
+    # Lines, not one string: pytest's diff of two failing multi-megabyte
+    # strings takes minutes.
+    text = "".join(_stats_json(stats, bins, len(ues)))
+    assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
