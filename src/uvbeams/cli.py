@@ -68,8 +68,10 @@ def preset(set_name: str, scenario: str) -> ScenarioConfig:
     """Scenario config for a named TR 38.821 parameter set.
 
     ``set_name`` is ``set1`` or ``set2``; ``scenario`` is one of ``geo_s``,
-    ``geo_ka``, ``leo_s``, ``leo_ka``.  Defaults: centre elevation 70 deg,
-    FRF 1, 4 rings, 10 UEs per beam, seed 0.
+    ``geo_ka``, ``leo_s``, ``leo_ka``.  A preset sets only the beamwidth and
+    the altitude; every other field, including the ring count that follows
+    the reuse factor, is the :class:`ScenarioConfig` default.  So
+    ``dataclasses.replace(preset(...), frf=3)`` has 6 rings.
     """
     key = (set_name, scenario)
     if key not in PRESET_BEAMWIDTH_DEG:
@@ -78,11 +80,6 @@ def preset(set_name: str, scenario: str) -> ScenarioConfig:
     return ScenarioConfig(
         beamwidth_3db_deg=PRESET_BEAMWIDTH_DEG[key],
         altitude_km=GEO_ALTITUDE_KM if scenario.startswith("geo") else LEO_ALTITUDE_KM,
-        frf=1,
-        rings=4,
-        center_elevation_deg=70.0,
-        ues_per_beam=10,
-        seed=0,
     )
 
 
@@ -267,10 +264,10 @@ def _build_parser() -> _Parser:
         metavar="SET:SCENARIO",
         help="named scenario, e.g. set1:leo_s (sets beamwidth and altitude; flags override)",
     )
-    parser.add_argument("--beamwidth-deg", type=float, help="3 dB beamwidth in degrees")
+    parser.add_argument("--beamwidth-deg", dest="beamwidth_3db_deg", metavar="BEAMWIDTH_DEG", type=float, help="3 dB beamwidth in degrees")
     parser.add_argument("--altitude-km", type=float, help="satellite altitude in km")
     parser.add_argument("--earth-radius-km", type=float, help="Earth radius in km (default 6371)")
-    parser.add_argument("--elevation-deg", type=float, help="centre-beam elevation in degrees (default 70)")
+    parser.add_argument("--elevation-deg", dest="center_elevation_deg", metavar="ELEVATION_DEG", type=float, help="centre-beam elevation in degrees (default 70)")
     parser.add_argument("--frf", type=int, choices=(1, 3), help="frequency reuse factor (default 1)")
     parser.add_argument("--rings", type=int, help="hex rings around the centre beam (default 4 for FRF=1, 6 for FRF=3)")
     parser.add_argument("--ues-per-beam", type=int, help="UEs dropped per beam (default 10)")
@@ -283,37 +280,21 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
+    """The preset, or the bare :class:`ScenarioConfig`, with the given flags
+    applied over it; each scenario flag's ``dest`` is its field name."""
+    given = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(ScenarioConfig)
+        if getattr(args, field.name) is not None
+    }
     if args.preset is not None:
         set_name, sep, scenario = args.preset.partition(":")
         if not sep:
             raise ValueError(f"preset must look like set1:leo_s, got {args.preset!r}")
-        base = preset(set_name, scenario)
-        beamwidth = args.beamwidth_deg if args.beamwidth_deg is not None else base.beamwidth_3db_deg
-        altitude = args.altitude_km if args.altitude_km is not None else base.altitude_km
-    else:
-        if args.beamwidth_deg is None or args.altitude_km is None:
-            raise ValueError("--beamwidth-deg and --altitude-km are required without --preset")
-        beamwidth = args.beamwidth_deg
-        altitude = args.altitude_km
-    frf = args.frf if args.frf is not None else 1
-    if args.rings is not None:
-        rings = args.rings
-    elif args.frf is not None:
-        rings = None  # resolved from the reuse factor by ScenarioConfig
-    elif args.preset is not None:
-        rings = 4
-    else:
-        rings = None
-    return ScenarioConfig(
-        beamwidth_3db_deg=beamwidth,
-        altitude_km=altitude,
-        earth_radius_km=args.earth_radius_km if args.earth_radius_km is not None else 6371.0,
-        frf=frf,
-        rings=rings,
-        center_elevation_deg=args.elevation_deg if args.elevation_deg is not None else 70.0,
-        ues_per_beam=args.ues_per_beam if args.ues_per_beam is not None else 10,
-        seed=args.seed if args.seed is not None else 0,
-    )
+        return dataclasses.replace(preset(set_name, scenario), **given)
+    if "beamwidth_3db_deg" not in given or "altitude_km" not in given:
+        raise ValueError("--beamwidth-deg and --altitude-km are required without --preset")
+    return ScenarioConfig(**given)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -327,20 +308,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         config = _config_from_args(args)
-    except ValueError as exc:
-        print(f"uvbeams: error: {exc}", file=sys.stderr)
-        return 1
-    try:
         manifest = run(config, Path(args.out), bins=args.bins, edge_samples=args.edge_samples)
-    except HorizonError as exc:
+    except (ValueError, OSError) as exc:
         print(f"uvbeams: error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"uvbeams: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"uvbeams: error: {exc}", file=sys.stderr)
-        return 3
+        if isinstance(exc, HorizonError):
+            return 2
+        return 1 if isinstance(exc, ValueError) else 3
     print(
         f"{manifest.derived['beam_count']} beams, "
         f"{manifest.config['ues_per_beam'] * manifest.derived['beam_count']} UEs -> {args.out}"

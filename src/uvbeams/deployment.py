@@ -59,8 +59,8 @@ def sample_point_in_hexagon(
     this order: ``rng.integers(6)``, then two ``rng.random()``.  The order is
     part of the byte-reproducibility contract of the drop.
     """
-    if circumradius <= 0.0:
-        raise ValueError(f"circumradius must be positive, got {circumradius}")
+    if not 0.0 < circumradius < math.inf:
+        raise ValueError(f"circumradius must be positive and finite, got {circumradius}")
     k = int(rng.integers(6))
     a1 = rng.random()
     a2 = rng.random()

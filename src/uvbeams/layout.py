@@ -60,7 +60,8 @@ _RING_WALK = ((-1, 1), (-1, 0), (0, -1), (1, -1), (1, 0), (0, 1))
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Inputs for one layout-and-drop run.
+    """Inputs for one layout-and-drop run and the one home of their defaults;
+    construction runs every check.  Presets and CLI flags override fields.
 
     ``rings=None`` picks the conventional ring count for the reuse factor:
     4 rings (61 beams) for FRF=1 and 6 rings (127 beams) for FRF=3.
@@ -84,24 +85,15 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             # NumPy integers become Python ints, which the JSON manifest holds.
             object.__setattr__(self, name, int(value))
-        if not (math.isfinite(self.earth_radius_km) and self.earth_radius_km > 0.0):
-            raise ValueError(
-                f"earth radius must be positive and finite, got {self.earth_radius_km}"
-            )
-        if not (math.isfinite(self.altitude_km) and self.altitude_km > 0.0):
-            raise ValueError(f"altitude must be positive and finite, got {self.altitude_km}")
-        if not 0.0 < self.beamwidth_3db_deg < 180.0:
-            raise ValueError(
-                f"3 dB beamwidth must lie in (0, 180) degrees, got {self.beamwidth_3db_deg}"
-            )
+        # The range checks of the physical inputs belong to the code that
+        # uses them; calling it here rejects a bad config at construction.
+        self.satellite()
+        beam_radius(self.beamwidth_3db_deg)
         if self.frf not in (1, 3):
             raise ValueError(f"unsupported frequency reuse factor {self.frf}; expected 1 or 3")
         if self.rings is not None and self.rings < 0:
             raise ValueError(f"ring count must be non-negative, got {self.rings}")
-        if not 0.0 < self.center_elevation_deg <= 90.0:
-            raise ValueError(
-                f"centre elevation must lie in (0, 90] degrees, got {self.center_elevation_deg}"
-            )
+        center_offset(self.center_elevation_deg, self.earth_radius_km, self.altitude_km)
         if self.ues_per_beam < 1:
             raise ValueError(f"ues_per_beam must be at least 1, got {self.ues_per_beam}")
         if not 0 <= self.seed < 2**64:

@@ -173,14 +173,15 @@ def earth_to_uv(p_u: GroundPoint, sat: SatelliteState, on_sphere_tol: float = 1e
     """
     r_e = sat.earth_radius_km
     radius = p_u.norm_km()
-    if abs(radius - r_e) > on_sphere_tol * r_e:
+    # Both tests are written so that a NaN coordinate fails them.
+    if not abs(radius - r_e) <= on_sphere_tol * r_e:
         raise ValueError(
             f"point radius {radius:.9g} km is not on the Earth sphere of radius {r_e:.9g} km"
         )
     # Visible means elevation >= 0, i.e. the point sits above the tangent
     # circle: z >= r_E^2 / (r_E + a).
     min_z = r_e * r_e / sat.orbit_radius_km
-    if p_u.z_km < min_z - on_sphere_tol * r_e:
+    if not p_u.z_km >= min_z - on_sphere_tol * r_e:
         raise HorizonError(
             f"ground point at z = {p_u.z_km:.9g} km is below the tangent circle "
             f"(z >= {min_z:.9g} km required) and not visible from the satellite"

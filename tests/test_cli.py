@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -66,6 +67,16 @@ class TestPreset:
             preset("set3", "leo_s")
         with pytest.raises(ValueError):
             preset("set1", "meo_x")
+
+    def test_replaced_frf_follows_ring_rule(self, tmp_path):
+        # A preset leaves rings to ScenarioConfig, so changing the reuse
+        # factor changes the ring count as it does on the command line.
+        cfg = dataclasses.replace(preset("set1", "leo_s"), frf=3)
+        assert cfg.ring_count == 6
+        out = tmp_path / "o"
+        assert main(["--preset", "set1:leo_s", "--frf", "3", "--ues-per-beam", "1", "--out", str(out)]) == 0
+        echo = json.loads((out / "manifest.json").read_text())["config"]
+        assert echo["rings"] == cfg.ring_count
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +195,33 @@ class TestMain:
         assert main(argv + ["--out", str(tmp_path / "a")]) == 0
         assert main(argv + ["--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "a" / "ues.csv").read_bytes() == (tmp_path / "b" / "ues.csv").read_bytes()
+
+    # One flag per ScenarioConfig field, with a value that differs from both
+    # the field's default and the set1:leo_s preset.
+    FIELD_FLAGS = {
+        "beamwidth_3db_deg": ("--beamwidth-deg", 4.0),
+        "altitude_km": ("--altitude-km", 1300.0),
+        "earth_radius_km": ("--earth-radius-km", 6400.0),
+        "frf": ("--frf", 3),
+        "rings": ("--rings", 2),
+        "center_elevation_deg": ("--elevation-deg", 80.0),
+        "ues_per_beam": ("--ues-per-beam", 3),
+        "seed": ("--seed", 5),
+    }
+
+    @pytest.mark.parametrize(
+        "field", dataclasses.fields(ScenarioConfig), ids=lambda field: field.name
+    )
+    def test_every_field_flag_reaches_manifest(self, tmp_path, field):
+        flag, value = self.FIELD_FLAGS[field.name]
+        base = preset("set1", "leo_s")
+        assert value not in (getattr(base, field.name), field.default)
+        out = tmp_path / "o"
+        argv = ["--preset", "set1:leo_s", "--rings", "1", "--ues-per-beam", "1"]
+        assert main(argv + [flag, str(value), "--out", str(out)]) == 0
+        echo = json.loads((out / "manifest.json").read_text())["config"]
+        assert echo[field.name] == value
+        assert type(echo[field.name]) is type(value)
 
     def test_missing_scenario_is_config_error(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path / "o")]) == 1

@@ -77,6 +77,11 @@ class TestHexagonSampler:
         with pytest.raises(ValueError):
             sample_point_in_hexagon(UvPoint(0.0, 0.0), 0.0, beam_rng(0, 0))
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(ValueError):
+            sample_point_in_hexagon(UvPoint(0.0, 0.0), radius, beam_rng(0, 0))
+
 
 class TestBeamRng:
     def test_streams_differ_by_beam(self):

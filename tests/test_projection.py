@@ -213,6 +213,21 @@ class TestEarthToUv:
         with pytest.raises(ValueError):
             earth_to_uv(GroundPoint(0.0, 0.0, R_E + 10.0), leo_sat)
 
+    @pytest.mark.parametrize(
+        "point",
+        [
+            GroundPoint(math.nan, 0.0, R_E),
+            GroundPoint(0.0, math.nan, R_E),
+            GroundPoint(0.0, 0.0, math.nan),
+            GroundPoint(math.nan, math.nan, math.nan),
+        ],
+        ids=["x", "y", "z", "xyz"],
+    )
+    def test_nan_rejected(self, leo_sat, point):
+        # A NaN coordinate used to pass both comparisons and give UvPoint(nan, nan).
+        with pytest.raises(ValueError):
+            earth_to_uv(point, leo_sat)
+
     def test_far_side_not_visible(self, leo_sat):
         with pytest.raises(HorizonError):
             earth_to_uv(GroundPoint(0.0, 0.0, -R_E), leo_sat)
