@@ -3,90 +3,16 @@ non-terrestrial-network system-level simulation setup."""
 
 __version__ = "0.1.0"
 
-from .projection import (
-    GroundPoint,
-    HorizonError,
-    LosGeometry,
-    SatelliteState,
-    UvPoint,
-    earth_to_uv,
-    horizon_limit,
-    los_geometry,
-    uv_to_earth,
-)
-from .layout import (
-    Beam,
-    BeamLayout,
-    BeamRole,
-    HexIndex,
-    ScenarioConfig,
-    adjacent_beam_spacing,
-    beam_radius,
-    build_layout,
-    center_offset,
-    frf_color,
-    hex_grid,
-    hexagon_contains,
-    hexagon_vertices,
-)
-from .deployment import (
-    RNG_ALGORITHM,
-    RNG_STREAM_RULE,
-    UeRecord,
-    beam_rng,
-    drop_ues,
-    sample_point_in_hexagon,
-)
-from .analysis import (
-    BeamStats,
-    Footprint,
-    ScenarioSummary,
-    beam_stats,
-    footprint_area_km2,
-    project_footprints,
-    scenario_summary,
-)
-from .cli import RunManifest, main, preset, run
+from . import analysis, cli, deployment, layout, projection
+from .analysis import *  # noqa: F401,F403
+from .cli import *  # noqa: F401,F403
+from .deployment import *  # noqa: F401,F403
+from .layout import *  # noqa: F401,F403
+from .projection import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "GroundPoint",
-    "HorizonError",
-    "LosGeometry",
-    "SatelliteState",
-    "UvPoint",
-    "earth_to_uv",
-    "horizon_limit",
-    "los_geometry",
-    "uv_to_earth",
-    "Beam",
-    "BeamLayout",
-    "BeamRole",
-    "HexIndex",
-    "ScenarioConfig",
-    "adjacent_beam_spacing",
-    "beam_radius",
-    "build_layout",
-    "center_offset",
-    "frf_color",
-    "hex_grid",
-    "hexagon_contains",
-    "hexagon_vertices",
-    "RNG_ALGORITHM",
-    "RNG_STREAM_RULE",
-    "UeRecord",
-    "beam_rng",
-    "drop_ues",
-    "sample_point_in_hexagon",
-    "BeamStats",
-    "Footprint",
-    "ScenarioSummary",
-    "beam_stats",
-    "footprint_area_km2",
-    "project_footprints",
-    "scenario_summary",
-    "RunManifest",
-    "main",
-    "preset",
-    "run",
+# Each module's own __all__ is the one list of its public names.
+__all__ = ["__version__"] + [
+    name
+    for module in (projection, layout, deployment, analysis, cli)
+    for name in module.__all__
 ]

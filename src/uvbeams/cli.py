@@ -10,16 +10,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import __version__
-from .analysis import BeamStats, beam_stats, project_footprints, scenario_summary
+from .analysis import BeamStats, beam_stats, project_footprints
 from .deployment import RNG_ALGORITHM, RNG_STREAM_RULE, drop_ues
-from .layout import ScenarioConfig, build_layout
-from .projection import HorizonError
+from .layout import BeamRole, ScenarioConfig, build_layout
+from .projection import HorizonError, horizon_limit
 
 __all__ = [
     "GEO_ALTITUDE_KM",
@@ -163,22 +164,43 @@ def _stats_json(stats: list[BeamStats], bins: int, ue_count: int) -> Iterator[st
     yield _STATS_TAIL
 
 
+def _write(path: Path, *parts: Iterable[str]) -> None:
+    """Write ``parts``, each an iterable of text chunks, to ``path`` as UTF-8
+    with no newline translation.  The text goes to ``<name>.tmp`` first, which
+    then replaces ``path``; a failed write removes the temporary file."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
+            for part in parts:
+                f.writelines(part)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int = 8) -> RunManifest:
-    """Run the full pipeline and write the output files into ``out_dir``."""
+    """Run the full pipeline and write the output files into ``out_dir``.
+
+    Each file is replaced atomically.  A stale manifest is removed before the
+    data files are written and the new one is written last, so a run that
+    fails partway leaves no manifest beside data files it does not describe.
+    """
     layout = build_layout(config)
     sat = config.satellite()
     ues = drop_ues(layout, sat, config.ues_per_beam, config.seed)
     stats = beam_stats(ues, layout, bins)
     footprints = project_footprints(layout, sat, edge_samples)
-    summary = scenario_summary(config)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)
 
     # CSV floats carry 9 significant digits; "+ 0.0" turns -0.0 into 0.0.
-    with open(out_dir / "beams.csv", "w", encoding="utf-8", newline="") as f:
-        f.write(BEAMS_CSV_HEADER + "\n")
-        f.writelines(
+    _write(
+        out_dir / "beams.csv",
+        [BEAMS_CSV_HEADER + "\n"],
+        (
             "%d,%d,%d,%.9g,%.9g,%d,%s\n"
             % (
                 beam.id,
@@ -190,11 +212,12 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
                 beam.role.value,
             )
             for beam in layout.beams
-        )
-
-    with open(out_dir / "ues.csv", "w", encoding="utf-8", newline="") as f:
-        f.write(UES_CSV_HEADER + "\n")
-        f.writelines(
+        ),
+    )
+    _write(
+        out_dir / "ues.csv",
+        [UES_CSV_HEADER + "\n"],
+        (
             "%d,%d,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n"
             % (
                 ue.ue_id,
@@ -210,29 +233,29 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
                 ue.aod_deg + 0.0,
             )
             for ue in ues
-        )
-
-    with open(out_dir / "footprints.csv", "w", encoding="utf-8", newline="") as f:
-        f.write(FOOTPRINTS_CSV_HEADER + "\n")
-        f.writelines(
+        ),
+    )
+    _write(
+        out_dir / "footprints.csv",
+        [FOOTPRINTS_CSV_HEADER + "\n"],
+        (
             "%d,%d,%.9g,%.9g,%.9g\n" % (fp.beam_id, idx, p.x_km + 0.0, p.y_km + 0.0, p.z_km + 0.0)
             for fp in footprints
             for idx, p in enumerate(fp.boundary)
-        )
-
-    with open(out_dir / "stats.json", "w", encoding="utf-8") as f:
-        f.writelines(_stats_json(stats, bins, len(ues)))
+        ),
+    )
+    _write(out_dir / "stats.json", _stats_json(stats, bins, len(ues)))
 
     manifest = RunManifest(
         version=__version__,
         config=_config_dict(config),
         derived={
-            "beam_radius": summary.beam_radius,
-            "adjacent_beam_spacing": summary.spacing,
-            "center_offset_u": summary.center_offset_u,
-            "horizon_limit": summary.horizon_limit,
-            "beam_count": summary.beam_count,
-            "statistics_beam_count": summary.statistics_beam_count,
+            "beam_radius": layout.beam_radius,
+            "adjacent_beam_spacing": layout.spacing,
+            "center_offset_u": layout.center_offset_u,
+            "horizon_limit": horizon_limit(sat),
+            "beam_count": len(layout),
+            "statistics_beam_count": sum(beam.role is BeamRole.STATISTICS for beam in layout),
         },
         rng={
             "generator": RNG_ALGORITHM,
@@ -241,9 +264,7 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
         },
         outputs=OUTPUT_FILES,
     )
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(dataclasses.asdict(manifest), f, indent=2)
-        f.write("\n")
+    _write(out_dir / "manifest.json", [json.dumps(dataclasses.asdict(manifest), indent=2), "\n"])
     return manifest
 
 
@@ -300,12 +321,6 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.bins < 1:
-        print("uvbeams: error: --bins must be at least 1", file=sys.stderr)
-        return 1
-    if args.edge_samples < 1:
-        print("uvbeams: error: --edge-samples must be at least 1", file=sys.stderr)
-        return 1
     try:
         config = _config_from_args(args)
         manifest = run(config, Path(args.out), bins=args.bins, edge_samples=args.edge_samples)

@@ -251,7 +251,7 @@ def build_layout(config: ScenarioConfig) -> BeamLayout:
     at the first beam outside it instead of listing every cell first.
     """
     radius = beam_radius(config.beamwidth_3db_deg)
-    spacing = SQRT3 * radius
+    spacing = adjacent_beam_spacing(config.beamwidth_3db_deg)
     u_c = center_offset(
         config.center_elevation_deg, config.earth_radius_km, config.altitude_km
     )

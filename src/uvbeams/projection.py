@@ -25,6 +25,10 @@ __all__ = [
     "earth_to_uv",
 ]
 
+# How far off the Earth sphere (and below the visible cap) a ground point may
+# sit and still be inverted by earth_to_uv, relative to the Earth radius.
+_ON_SPHERE_TOL = 1e-6
+
 
 class HorizonError(ValueError):
     """A UV point (or ground point) lies outside the visible-Earth disk."""
@@ -164,24 +168,24 @@ def uv_to_earth(p_uv: UvPoint, sat: SatelliteState) -> GroundPoint:
     return GroundPoint(*_line_of_sight(p_uv.u, p_uv.v, sat)[6:])
 
 
-def earth_to_uv(p_u: GroundPoint, sat: SatelliteState, on_sphere_tol: float = 1e-6) -> UvPoint:
+def earth_to_uv(p_u: GroundPoint, sat: SatelliteState) -> UvPoint:
     """Invert :func:`uv_to_earth` for a visible point on the Earth sphere.
 
     The x and y components of the unit vector from the satellite to the point
-    are exactly the direction sines.  ``on_sphere_tol`` is relative to the
-    Earth radius.
+    are exactly the direction sines.  Both the sphere and the visibility test
+    allow :data:`_ON_SPHERE_TOL` times the Earth radius.
     """
     r_e = sat.earth_radius_km
     radius = p_u.norm_km()
     # Both tests are written so that a NaN coordinate fails them.
-    if not abs(radius - r_e) <= on_sphere_tol * r_e:
+    if not abs(radius - r_e) <= _ON_SPHERE_TOL * r_e:
         raise ValueError(
             f"point radius {radius:.9g} km is not on the Earth sphere of radius {r_e:.9g} km"
         )
     # Visible means elevation >= 0, i.e. the point sits above the tangent
     # circle: z >= r_E^2 / (r_E + a).
     min_z = r_e * r_e / sat.orbit_radius_km
-    if not p_u.z_km >= min_z - on_sphere_tol * r_e:
+    if not p_u.z_km >= min_z - _ON_SPHERE_TOL * r_e:
         raise HorizonError(
             f"ground point at z = {p_u.z_km:.9g} km is below the tangent circle "
             f"(z >= {min_z:.9g} km required) and not visible from the satellite"

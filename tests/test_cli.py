@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_golden import CONFIGS as GOLDEN_CONFIGS
+
 import uvbeams
-from uvbeams import ScenarioConfig, preset, run, scenario_summary
+from uvbeams import HorizonError, ScenarioConfig, preset, run, scenario_summary
 from uvbeams.cli import (
     BEAMS_CSV_HEADER,
     FOOTPRINTS_CSV_HEADER,
@@ -77,6 +79,19 @@ class TestPreset:
         assert main(["--preset", "set1:leo_s", "--frf", "3", "--ues-per-beam", "1", "--out", str(out)]) == 0
         echo = json.loads((out / "manifest.json").read_text())["config"]
         assert echo["rings"] == cfg.ring_count
+
+
+# Presets whose default ring count reaches past the horizon.
+UNBUILDABLE_PRESETS = {("set2", "leo_s")}
+
+# Every buildable preset at both reuse factors, plus the nadir golden config.
+DERIVED_CASES = {
+    f"{s}:{sc}-frf{frf}": dataclasses.replace(preset(s, sc), frf=frf, ues_per_beam=1)
+    for s, sc in sorted(PRESET_BEAMWIDTH_DEG)
+    if (s, sc) not in UNBUILDABLE_PRESETS
+    for frf in (1, 3)
+}
+DERIVED_CASES["nadir"] = GOLDEN_CONFIGS["nadir"]
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +182,41 @@ class TestRun:
         run(ScenarioConfig(**echo), tmp_path / "b")
         for name in OUTPUT_FILES:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, monkeypatch, capsys):
+        # A rerun that fails partway must not leave the old manifest beside
+        # new data files, nor a half-written file or temporary file.
+        out = tmp_path / "o"
+        argv = ["--preset", "set1:leo_s", "--rings", "1", "--ues-per-beam", "2", "--out", str(out)]
+        assert main(argv) == 0
+        old_stats = (out / "stats.json").read_bytes()
+
+        def failing_stats_json(*args):
+            yield "{\n"
+            raise OSError("disk full")
+
+        monkeypatch.setattr("uvbeams.cli._stats_json", failing_stats_json)
+        assert main(argv + ["--seed", "1"]) == 3
+        assert "disk full" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        assert not list(out.glob("*.tmp"))
+        assert (out / "stats.json").read_bytes() == old_stats
+
+    @pytest.mark.parametrize("config", DERIVED_CASES.values(), ids=DERIVED_CASES.keys())
+    def test_manifest_derived_matches_scenario_summary(self, tmp_path, config):
+        # The manifest reads its constants off the built layout; the
+        # layout-free scenario_summary must give the same bits.
+        manifest = run(config, tmp_path, bins=2, edge_samples=1)
+        expected = dataclasses.asdict(scenario_summary(config))
+        expected["adjacent_beam_spacing"] = expected.pop("spacing")
+        assert manifest.derived == expected
+        assert json.loads((tmp_path / "manifest.json").read_text())["derived"] == expected
+
+    @pytest.mark.parametrize("frf", (1, 3))
+    def test_unbuildable_presets_hit_the_horizon(self, tmp_path, frf):
+        for key in UNBUILDABLE_PRESETS:
+            with pytest.raises(HorizonError):
+                run(dataclasses.replace(preset(*key), frf=frf), tmp_path)
 
 
 class TestMain:
@@ -285,6 +335,28 @@ class TestMain:
         code = main(["--preset", "set1:leo_s", "--out", str(blocker / "sub")])
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,message",
+        [
+            ("--bins", "bins must be at least 1, got 0"),
+            ("--edge-samples", "samples_per_edge must be at least 1, got 0"),
+        ],
+    )
+    def test_bins_and_edge_samples_checked_by_their_owners(self, tmp_path, capsys, flag, message):
+        out = tmp_path / "o"
+        assert main(["--preset", "set1:leo_s", "--rings", "1", flag, "0", "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_first_fault_met_is_reported(self, tmp_path, capsys):
+        # The layout is built before the statistics, so the horizon fault
+        # wins over a bad bin count.
+        out = tmp_path / "o"
+        argv = ["--preset", "set2:leo_s", "--bins", "0", "--out", str(out)]
+        assert main(argv) == 2
+        assert "horizon" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestModuleEntryPoint:

@@ -7,6 +7,7 @@ the full Cartesian projection.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -212,6 +213,13 @@ class TestEarthToUv:
     def test_not_on_sphere_rejected(self, leo_sat):
         with pytest.raises(ValueError):
             earth_to_uv(GroundPoint(0.0, 0.0, R_E + 10.0), leo_sat)
+
+    def test_on_sphere_tolerance_is_fixed(self, leo_sat):
+        # The tolerance is 1e-6 of the Earth radius and not a parameter.
+        assert list(inspect.signature(earth_to_uv).parameters) == ["p_u", "sat"]
+        assert earth_to_uv(GroundPoint(0.0, 0.0, R_E * (1.0 + 0.5e-6)), leo_sat).u == 0.0
+        with pytest.raises(ValueError):
+            earth_to_uv(GroundPoint(0.0, 0.0, R_E * (1.0 + 2e-6)), leo_sat)
 
     @pytest.mark.parametrize(
         "point",
