@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .deployment import UeRecord
+from .deployment import UeRecord, UeTable
 from .layout import (
     STATISTICS_RINGS,
     BeamLayout,
@@ -18,11 +19,12 @@ from .layout import (
     beam_radius,
     center_offset,
 )
-from .projection import GroundPoint, SatelliteState, _line_of_sight, horizon_limit
+from .projection import GroundPoint, SatelliteState, _project_columns, horizon_limit
 
 __all__ = [
     "BeamStats",
     "Footprint",
+    "FootprintTable",
     "ScenarioSummary",
     "beam_stats",
     "project_footprints",
@@ -56,6 +58,35 @@ class Footprint:
     boundary: tuple[GroundPoint, ...]
 
 
+class FootprintTable:
+    """Projected beam boundaries: ``beam_id`` holds one id per footprint, and
+    ``x_km``, ``y_km`` and ``z_km`` one row of boundary points per footprint,
+    the first point repeated at the end.  An int index and iteration yield
+    :class:`Footprint`s."""
+
+    # A plain class, like UeTable, to keep import cheap.
+    __slots__ = ("beam_id", "x_km", "y_km", "z_km")
+
+    def __init__(self, beam_id: np.ndarray, x_km: np.ndarray, y_km: np.ndarray, z_km: np.ndarray) -> None:
+        self.beam_id, self.x_km, self.y_km, self.z_km = beam_id, x_km, y_km, z_km
+
+    def __len__(self) -> int:
+        return len(self.beam_id)
+
+    def __getitem__(self, index: int) -> Footprint:
+        rows = (self.x_km[index].tolist(), self.y_km[index].tolist(), self.z_km[index].tolist())
+        return Footprint(self.beam_id[index].item(), tuple(map(GroundPoint, *rows)))
+
+    def __iter__(self) -> Iterator[Footprint]:
+        return map(self.__getitem__, range(len(self)))
+
+    def columns(self) -> list[np.ndarray]:
+        """Beam id, vertex index, x, y, z per point, as in ``footprints.csv``."""
+        points = self.x_km.shape[1]
+        index = np.tile(np.arange(points), len(self))
+        return [self.beam_id.repeat(points), index, self.x_km.ravel(), self.y_km.ravel(), self.z_km.ravel()]
+
+
 @dataclass(frozen=True, slots=True)
 class ScenarioSummary:
     beam_radius: float
@@ -66,22 +97,29 @@ class ScenarioSummary:
     statistics_beam_count: int
 
 
-def beam_stats(ues: list[UeRecord], layout: BeamLayout, bins: int = 50) -> list[BeamStats]:
+def beam_stats(ues: UeTable | Iterable[UeRecord], layout: BeamLayout, bins: int = 50) -> list[BeamStats]:
     """Group UEs by beam and histogram their slant ranges.
 
     Bin edges are equal-width over the global [min, max] slant range so the
     per-beam histograms are directly comparable; the last bin is closed on
-    the right so every UE is counted exactly once.
+    the right so every UE is counted exactly once.  Records that are not a
+    :class:`UeTable` are turned into one first.  A beam id missing from the
+    layout, or a slant range or elevation that is not finite, raises
+    :class:`ValueError`.
     """
     if bins < 1:
         raise ValueError(f"bins must be at least 1, got {bins}")
-    if not ues:
+    if not isinstance(ues, UeTable):
+        ues = UeTable.from_records(ues)
+    n = len(ues)
+    if not n:
         raise ValueError("no UE records to aggregate")
     roles = {beam.id: beam.role for beam in layout.beams}
-    n = len(ues)
-    beam_ids = np.fromiter((ue.beam_id for ue in ues), np.int64, n)
-    slants = np.fromiter((ue.slant_range_km for ue in ues), np.float64, n)
-    elevations = np.fromiter((ue.elevation_deg for ue in ues), np.float64, n)
+    beam_ids, slants, elevations = ues.beam_id, ues.slant_range_km, ues.elevation_deg
+    for name, column in (("slant range", slants), ("elevation", elevations)):
+        bad = np.flatnonzero(~np.isfinite(column))
+        if len(bad):
+            raise ValueError(f"UE {ues.ue_id[bad[0]]} has a non-finite {name}: {column[bad[0]]}")
     lo = float(slants.min())
     hi = float(slants.max())
 
@@ -94,6 +132,10 @@ def beam_stats(ues: list[UeRecord], layout: BeamLayout, bins: int = 50) -> list[
     elevations = elevations[order]
     starts = np.flatnonzero(np.diff(beam_ids, prepend=beam_ids[0] - 1))
     ends = np.append(starts[1:], n)
+    group_ids = beam_ids[starts].tolist()
+    unknown = [beam_id for beam_id in group_ids if beam_id not in roles]
+    if unknown:
+        raise ValueError(f"UE beam id {unknown[0]} is not in the layout")
 
     if hi <= lo:
         bin_lo, bin_hi = [lo], [hi]
@@ -109,7 +151,7 @@ def beam_stats(ues: list[UeRecord], layout: BeamLayout, bins: int = 50) -> list[
         counts = counts.reshape(len(starts), bins)
 
     columns = zip(
-        beam_ids[starts].tolist(),
+        group_ids,
         starts.tolist(),
         ends.tolist(),
         np.minimum.reduceat(slants, starts).tolist(),
@@ -136,7 +178,7 @@ def beam_stats(ues: list[UeRecord], layout: BeamLayout, bins: int = 50) -> list[
 
 def project_footprints(
     layout: BeamLayout, sat: SatelliteState, samples_per_edge: int = 8
-) -> list[Footprint]:
+) -> FootprintTable:
     """Project each beam's hexagon boundary onto the Earth sphere.
 
     Each hexagon edge is sampled ``samples_per_edge`` times (starting at its
@@ -145,20 +187,16 @@ def project_footprints(
     """
     if samples_per_edge < 1:
         raise ValueError(f"samples_per_edge must be at least 1, got {samples_per_edge}")
-    footprints = []
-    for beam in layout.beams:
-        verts = beam.vertices_uv
-        boundary: list[GroundPoint] = []
-        for i in range(6):
-            a = verts[i]
-            b = verts[(i + 1) % 6]
-            for j in range(samples_per_edge):
-                t = j / samples_per_edge
-                ground = _line_of_sight(a.u + t * (b.u - a.u), a.v + t * (b.v - a.v), sat)[6:]
-                boundary.append(GroundPoint(*ground))
-        boundary.append(boundary[0])
-        footprints.append(Footprint(beam.id, tuple(boundary)))
-    return footprints
+    # Corners a and b of every edge, shape (beams, 6, 1, 2); each boundary
+    # point is a + t * (b - a) with t = j / samples_per_edge.
+    a = np.array([[(p.u, p.v) for p in beam.vertices_uv] for beam in layout.beams])[:, :, None]
+    b = np.roll(a, -1, axis=1)
+    t = (np.arange(samples_per_edge) / samples_per_edge)[:, None]
+    uv = (a + t * (b - a)).reshape(len(a), -1, 2)
+    uv = np.concatenate([uv, uv[:, :1]], axis=1)
+    xyz = _project_columns(uv[..., 0].ravel(), uv[..., 1].ravel(), sat, lambda *los: los[6:])
+    beam_ids = np.array([beam.id for beam in layout.beams], np.int64)
+    return FootprintTable(beam_ids, *xyz.reshape(3, *uv.shape[:2]))
 
 
 def footprint_area_km2(footprint: Footprint) -> float:

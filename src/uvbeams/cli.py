@@ -16,11 +16,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from . import __version__
 from .analysis import BeamStats, beam_stats, project_footprints
 from .deployment import RNG_ALGORITHM, RNG_STREAM_RULE, drop_ues
 from .layout import BeamRole, ScenarioConfig, build_layout
-from .projection import HorizonError, horizon_limit
+from .projection import _CHUNK, HorizonError, horizon_limit
 
 __all__ = [
     "GEO_ALTITUDE_KM",
@@ -164,6 +166,16 @@ def _stats_json(stats: list[BeamStats], bins: int, ue_count: int) -> Iterator[st
     yield _STATS_TAIL
 
 
+def _csv(header: str, template: str, *columns: np.ndarray) -> Iterator[str]:
+    """``header`` and one ``template % row`` line per row of ``columns``, read
+    :data:`_CHUNK` rows at a time; ``+ 0.0`` turns a float -0.0 into 0.0."""
+    yield header + "\n"
+    for start in range(0, len(columns[0]), _CHUNK):
+        chunk = (c[start : start + _CHUNK] for c in columns)
+        values = ((c + 0.0 if c.dtype.kind == "f" else c).tolist() for c in chunk)
+        yield from map(template.__mod__, zip(*values))
+
+
 def _write(path: Path, *parts: Iterable[str]) -> None:
     """Write ``parts``, each an iterable of text chunks, to ``path`` as UTF-8
     with no newline translation.  The text goes to ``<name>.tmp`` first, which
@@ -196,54 +208,11 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").unlink(missing_ok=True)
 
-    # CSV floats carry 9 significant digits; "+ 0.0" turns -0.0 into 0.0.
-    _write(
-        out_dir / "beams.csv",
-        [BEAMS_CSV_HEADER + "\n"],
-        (
-            "%d,%d,%d,%.9g,%.9g,%d,%s\n"
-            % (
-                beam.id,
-                beam.index.q,
-                beam.index.r,
-                beam.center_uv.u + 0.0,
-                beam.center_uv.v + 0.0,
-                beam.color,
-                beam.role.value,
-            )
-            for beam in layout.beams
-        ),
-    )
-    _write(
-        out_dir / "ues.csv",
-        [UES_CSV_HEADER + "\n"],
-        (
-            "%d,%d,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n"
-            % (
-                ue.ue_id,
-                ue.beam_id,
-                ue.uv.u + 0.0,
-                ue.uv.v + 0.0,
-                ue.ground.x_km + 0.0,
-                ue.ground.y_km + 0.0,
-                ue.ground.z_km + 0.0,
-                ue.slant_range_km + 0.0,
-                ue.elevation_deg + 0.0,
-                ue.zod_deg + 0.0,
-                ue.aod_deg + 0.0,
-            )
-            for ue in ues
-        ),
-    )
-    _write(
-        out_dir / "footprints.csv",
-        [FOOTPRINTS_CSV_HEADER + "\n"],
-        (
-            "%d,%d,%.9g,%.9g,%.9g\n" % (fp.beam_id, idx, p.x_km + 0.0, p.y_km + 0.0, p.z_km + 0.0)
-            for fp in footprints
-            for idx, p in enumerate(fp.boundary)
-        ),
-    )
+    # CSV floats carry 9 significant digits.
+    beams = ((b.id, b.index.q, b.index.r, b.center_uv.u, b.center_uv.v, b.color, b.role.value) for b in layout)
+    _write(out_dir / "beams.csv", _csv(BEAMS_CSV_HEADER, "%d,%d,%d,%.9g,%.9g,%d,%s\n", *map(np.array, zip(*beams))))
+    _write(out_dir / "ues.csv", _csv(UES_CSV_HEADER, "%d,%d" + ",%.9g" * 9 + "\n", *ues.columns()))
+    _write(out_dir / "footprints.csv", _csv(FOOTPRINTS_CSV_HEADER, "%d,%d,%.9g,%.9g,%.9g\n", *footprints.columns()))
     _write(out_dir / "stats.json", _stats_json(stats, bins, len(ues)))
 
     manifest = RunManifest(

@@ -9,16 +9,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .layout import _CORNER_UNIT, BeamLayout
-from .projection import GroundPoint, SatelliteState, UvPoint, _line_of_sight
+from .projection import _CHUNK, GroundPoint, SatelliteState, UvPoint, _each, _project_columns
 
 __all__ = [
     "RNG_ALGORITHM",
     "RNG_STREAM_RULE",
     "UeRecord",
+    "UeTable",
     "beam_rng",
     "sample_point_in_hexagon",
     "drop_ues",
@@ -40,6 +42,55 @@ class UeRecord:
     elevation_deg: float
     zod_deg: float
     aod_deg: float
+
+
+class UeTable:
+    """A UE drop as NumPy columns, in the order of ``ues.csv``: the
+    :class:`UeRecord` fields, with ``uv`` and ``ground`` split.  An int index
+    and iteration yield :class:`UeRecord`s of Python numbers, a slice yields
+    a table, and ``==`` compares every column."""
+
+    # A plain class: as a dataclass it would add about a millisecond to import.
+    __slots__ = ("ue_id", "beam_id", "u", "v", "x_km", "y_km", "z_km",
+                 "slant_range_km", "elevation_deg", "zod_deg", "aod_deg")
+
+    def __init__(self, *columns: np.ndarray) -> None:
+        for name, column in zip(self.__slots__, columns, strict=True):
+            setattr(self, name, column)
+
+    @classmethod
+    def from_records(cls, records: Iterable[UeRecord]) -> UeTable:
+        """The table of ``records``, any iterable of :class:`UeRecord`s."""
+        rows = [
+            (r.ue_id, r.beam_id, r.uv.u, r.uv.v, r.ground.x_km, r.ground.y_km, r.ground.z_km,
+             r.slant_range_km, r.elevation_deg, r.zod_deg, r.aod_deg)
+            for r in records
+        ]
+        columns = list(zip(*rows)) or [()] * len(cls.__slots__)
+        dtypes = (np.int64 if name.endswith("_id") else np.float64 for name in cls.__slots__)
+        return cls(*map(np.array, columns, dtypes))
+
+    def columns(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __len__(self) -> int:
+        return len(self.ue_id)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return UeTable(*(c[index] for c in self.columns()))
+        i = range(len(self))[index]
+        return next(iter(self[i : i + 1]))
+
+    def __iter__(self) -> Iterator[UeRecord]:
+        columns = self.columns()
+        for start in range(0, len(self), _CHUNK):
+            rows = zip(*(c[start : start + _CHUNK].tolist() for c in columns))
+            for ue_id, beam_id, u, v, x, y, z, *link in rows:
+                yield UeRecord(ue_id, beam_id, UvPoint(u, v), GroundPoint(x, y, z), *link)
+
+    def __eq__(self, other):
+        return isinstance(other, UeTable) and all(map(np.array_equal, self.columns(), other.columns()))
 
 
 def beam_rng(seed: int, beam_id: int) -> np.random.Generator:
@@ -81,9 +132,7 @@ def sample_point_in_hexagon(
     )
 
 
-def drop_ues(
-    layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: int
-) -> list[UeRecord]:
+def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: int) -> UeTable:
     """Drop ``ues_per_beam`` uniform UEs in every beam and project them.
 
     UE ids are ``beam_id * ues_per_beam + k`` so they are stable under any
@@ -93,23 +142,19 @@ def drop_ues(
     """
     if ues_per_beam < 1:
         raise ValueError(f"ues_per_beam must be at least 1, got {ues_per_beam}")
-    records: list[UeRecord] = []
-    for beam in layout.beams:
-        rng = beam_rng(seed, beam.id)
-        first_id = beam.id * ues_per_beam
-        for k in range(ues_per_beam):
-            uv = sample_point_in_hexagon(beam.center_uv, layout.beam_radius, rng)
-            _, _, zod, aod, alpha, slant, x, y, z = _line_of_sight(uv.u, uv.v, sat)
-            records.append(
-                UeRecord(
-                    first_id + k,
-                    beam.id,
-                    uv,
-                    GroundPoint(x, y, z),
-                    slant,
-                    math.degrees(alpha),
-                    math.degrees(zod),
-                    math.degrees(aod),
-                )
-            )
-    return records
+    draws = (
+        sample_point_in_hexagon(beam.center_uv, layout.beam_radius, rng)
+        for beam in layout.beams
+        for rng in [beam_rng(seed, beam.id)]
+        for _ in range(ues_per_beam)
+    )
+    count = len(layout) * ues_per_beam
+    u, v = np.fromiter(((p.u, p.v) for p in draws), np.dtype((np.float64, 2)), count).T.copy()
+    degrees = _each(math.degrees)
+
+    def ground_and_link(d_uv, omega, zod, aod, alpha, slant, x, y, z):
+        return x, y, z, slant, degrees(alpha), degrees(zod), degrees(aod)
+
+    beam_ids = np.repeat(np.array([beam.id for beam in layout.beams], np.int64), ues_per_beam)
+    ue_ids = beam_ids * ues_per_beam + np.tile(np.arange(ues_per_beam), len(layout))
+    return UeTable(ue_ids, beam_ids, u, v, *_project_columns(u, v, sat, ground_and_link))

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 __all__ = [
     "HorizonError",
@@ -104,40 +107,85 @@ def horizon_limit(sat: SatelliteState) -> float:
     return sat.earth_radius_km / sat.orbit_radius_km
 
 
-def _line_of_sight(u: float, v: float, sat: SatelliteState) -> tuple[float, ...]:
-    """Shared kernel of :func:`los_geometry` and :func:`uv_to_earth`.
+def _each(fn: Callable) -> Callable:
+    """``fn`` applied element by element to NumPy columns."""
+    return lambda *cols: np.fromiter(map(fn, *(c.tolist() for c in cols)), np.float64, len(cols[0]))
+
+
+def _beyond(d_uv: float, limit: float) -> float | None:
+    """The first UV radius that is not ``<= limit``, or None."""
+    return None if d_uv <= limit else d_uv
+
+
+_LIBM = (math.hypot, math.asin, math.atan2, math.acos, math.sin, math.cos)
+# The functions _line_of_sight applies to columns, in the order of its
+# function parameters.  They are the same libm functions as for floats, one
+# element at a time; NumPy does only the exactly rounded operations
+# (+ - * /, sqrt, minimum, comparisons).  So the two paths agree bit for bit.
+_COLUMNS = (*map(_each, _LIBM), np.sqrt, np.minimum,
+            lambda d_uv, limit: next(iter(d_uv[~(d_uv <= limit)].tolist()), None))
+
+# Points per kernel call on columns: the Python floats of one chunk are the
+# only per-point objects alive at a time.
+_CHUNK = 2048
+
+
+def _line_of_sight(
+    u, v, sat: SatelliteState, hypot=math.hypot, asin=math.asin, atan2=math.atan2, acos=math.acos,
+    sin=math.sin, cos=math.cos, sqrt=math.sqrt, minimum=min, beyond=_beyond,
+) -> tuple:
+    """Shared kernel of :func:`los_geometry`, :func:`uv_to_earth` and the
+    columnar pipeline.
 
     Returns ``(d_uv, omega, zod, aod, elevation, slant_km, x_km, y_km,
-    z_km)`` for one UV point, so a caller that needs both the link angles
-    and the ground point solves the triangle once.
+    z_km)`` for one UV point, or for UV columns with ``*_COLUMNS`` in place
+    of the float functions, so a caller that needs both the angles and the
+    ground point solves once.  The functions are parameters, not a table
+    unpacked in the body, so the float path pays nothing for them.
     """
     r_e = sat.earth_radius_km
     a = sat.altitude_km
     r_s = r_e + a
-    d_uv = math.hypot(u, v)
+    d_uv = hypot(u, v)
     limit = r_e / r_s
-    # Written so that a NaN radius fails the test too.
-    if not d_uv <= limit:
+    # A float inside the horizon compares True and skips the call; a NaN
+    # radius fails the test.  A column's comparison is never True, so
+    # beyond() checks every point.
+    if (d_uv <= limit) is not True and (bad := beyond(d_uv, limit)) is not None:
         raise HorizonError(
-            f"UV radius {d_uv:.9g} is beyond the horizon limit {limit:.9g} "
+            f"UV radius {bad:.9g} is beyond the horizon limit {limit:.9g} "
             f"(earth radius {r_e:.9g} km, altitude {a:.9g} km)"
         )
-    omega = math.asin(d_uv)
+    omega = asin(d_uv)
     zod = math.pi - omega
-    aod = math.atan2(v, u)
-    # sin(zod) equals d_uv analytically; the min() only absorbs float
+    aod = atan2(v, u)
+    # sin(zod) equals d_uv analytically; the minimum only absorbs float
     # round-off so the arccos stays defined at the horizon boundary.
-    cos_alpha = min(1.0, r_s * d_uv / r_e)
-    alpha = math.acos(cos_alpha)
-    sin_alpha = math.sin(alpha)
-    slant = -r_e * sin_alpha + math.sqrt(r_e * r_e * sin_alpha * sin_alpha + a * a + 2.0 * r_e * a)
+    cos_alpha = minimum(1.0, r_s * d_uv / r_e)
+    alpha = acos(cos_alpha)
+    sin_alpha = sin(alpha)
+    slant = -r_e * sin_alpha + sqrt(r_e * r_e * sin_alpha * sin_alpha + a * a + 2.0 * r_e * a)
     # The departure direction (zod, aod) scaled by the slant range is the
     # satellite-to-ground displacement.
-    sin_zod = math.sin(zod)
-    x = slant * sin_zod * math.cos(aod)
-    y = slant * sin_zod * math.sin(aod)
-    z = r_s + slant * math.cos(zod)
+    sin_zod = sin(zod)
+    x = slant * sin_zod * cos(aod)
+    y = slant * sin_zod * sin(aod)
+    z = r_s + slant * cos(zod)
     return d_uv, omega, zod, aod, alpha, slant, x, y, z
+
+
+def _project_columns(u: np.ndarray, v: np.ndarray, sat: SatelliteState, pick: Callable) -> np.ndarray:
+    """Rows ``pick(*outputs)`` of :func:`_line_of_sight` over the UV columns
+    ``u`` and ``v``, computed :data:`_CHUNK` points at a time.  A point past
+    the horizon raises the scalar path's :class:`HorizonError` for the first
+    such point."""
+    out = None
+    for start in range(0, len(u), _CHUNK):
+        rows = pick(*_line_of_sight(u[start : start + _CHUNK], v[start : start + _CHUNK], sat, *_COLUMNS))
+        if out is None:
+            out = np.empty((len(rows), len(u)))
+        out[:, start : start + _CHUNK] = rows
+    return out
 
 
 def los_geometry(p_uv: UvPoint, sat: SatelliteState) -> LosGeometry:

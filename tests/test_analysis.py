@@ -7,9 +7,12 @@ import math
 import pytest
 
 from uvbeams import (
+    Footprint,
+    FootprintTable,
     GroundPoint,
     ScenarioConfig,
     UeRecord,
+    UeTable,
     UvPoint,
     beam_stats,
     build_layout,
@@ -35,6 +38,19 @@ def nadir_layout():
         ScenarioConfig(
             beamwidth_3db_deg=4.4127, altitude_km=ALT, rings=0, center_elevation_deg=90.0
         )
+    )
+
+
+def nadir_record(ue_id=0, beam_id=0, slant_range_km=ALT, elevation_deg=90.0):
+    return UeRecord(
+        ue_id=ue_id,
+        beam_id=beam_id,
+        uv=UvPoint(0.0, 0.0),
+        ground=GroundPoint(0.0, 0.0, R_E),
+        slant_range_km=slant_range_km,
+        elevation_deg=elevation_deg,
+        zod_deg=180.0,
+        aod_deg=0.0,
     )
 
 
@@ -102,7 +118,38 @@ class TestBeamStats:
             beam_stats(ues, frf1_layout, bins=0)
 
 
+    def test_table_records_and_generator_agree(self, frf3_layout, dense_frf3_ues):
+        expected = beam_stats(dense_frf3_ues, frf3_layout, bins=20)
+        assert beam_stats(list(dense_frf3_ues), frf3_layout, bins=20) == expected
+        assert beam_stats(iter(dense_frf3_ues), frf3_layout, bins=20) == expected
+
+    def test_beam_not_in_layout_rejected(self, nadir_layout):
+        records = [nadir_record(0, 0), nadir_record(1, 5), nadir_record(2, 7)]
+        with pytest.raises(ValueError, match="beam id 5 is not in the layout"):
+            beam_stats(records, nadir_layout, bins=10)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["slant_range_km", "elevation_deg"])
+    def test_non_finite_value_rejected(self, nadir_layout, field, value):
+        records = [nadir_record(0), nadir_record(1, **{field: value}), nadir_record(2)]
+        with pytest.raises(ValueError, match=f"UE 1 has a non-finite .*: {value}$"):
+            beam_stats(records, nadir_layout, bins=10)
+
+
 class TestFootprints:
+    def test_table_items_are_footprints(self, leo_sat, frf1_layout):
+        table = project_footprints(frf1_layout, leo_sat, samples_per_edge=2)
+        assert isinstance(table, FootprintTable)
+        assert len(table) == len(frf1_layout)
+        items = list(table)
+        assert [fp.beam_id for fp in items] == [b.id for b in frf1_layout]
+        assert items[-1] == table[-1] == table[len(table) - 1]
+        for fp in items:
+            assert isinstance(fp, Footprint) and type(fp.beam_id) is int
+            assert len(fp.boundary) == 6 * 2 + 1
+            assert all(type(c) is float for p in fp.boundary for c in (p.x_km, p.y_km, p.z_km))
+
+
     def test_closed_and_on_sphere(self, leo_sat, frf1_layout):
         for fp in project_footprints(frf1_layout, leo_sat, samples_per_edge=4):
             assert fp.boundary[0] == fp.boundary[-1]

@@ -24,8 +24,10 @@ from uvbeams.cli import (
     OUTPUT_FILES,
     PRESET_BEAMWIDTH_DEG,
     UES_CSV_HEADER,
+    _csv,
     main,
 )
+from uvbeams.projection import _CHUNK
 
 TABLE_ABS = {
     ("set1", "geo_s"): 0.0061,
@@ -217,6 +219,17 @@ class TestRun:
         for key in UNBUILDABLE_PRESETS:
             with pytest.raises(HorizonError):
                 run(dataclasses.replace(preset(*key), frf=frf), tmp_path)
+
+
+class TestCsvWriter:
+    def test_rows_across_chunks_and_negative_zero(self):
+        n = 2 * _CHUNK + 3
+        ints = np.arange(n) - 1
+        floats = np.full(n, -0.0)
+        floats[1] = -1.5
+        lines = list(_csv("h", "%d,%.9g\n", ints, floats))
+        assert lines[:3] == ["h\n", "-1,0\n", "0,-1.5\n"]
+        assert lines[3:] == ["%d,0\n" % (i - 1) for i in range(2, n)]
 
 
 class TestMain:

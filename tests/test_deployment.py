@@ -7,6 +7,8 @@ import math
 import pytest
 
 from uvbeams import (
+    UeRecord,
+    UeTable,
     UvPoint,
     beam_rng,
     drop_ues,
@@ -150,3 +152,45 @@ class TestDropUes:
     def test_invalid_ue_count(self, leo_sat, frf1_layout):
         with pytest.raises(ValueError):
             drop_ues(frf1_layout, leo_sat, 0, seed=0)
+
+
+class TestUeTable:
+    @pytest.fixture(scope="class")
+    def ues(self, leo_sat, frf1_layout):
+        # 61 beams x 50 UEs spans several conversion chunks.
+        return drop_ues(frf1_layout, leo_sat, 50, seed=5)
+
+    def test_items_are_records_of_python_numbers(self, ues):
+        assert isinstance(ues, UeTable)
+        assert len(ues) == 61 * 50
+        for ue in (ues[0], ues[-1], ues[1234]):
+            assert isinstance(ue, UeRecord)
+            assert type(ue.ue_id) is int and type(ue.beam_id) is int
+            values = (ue.uv.u, ue.uv.v, ue.ground.x_km, ue.ground.y_km, ue.ground.z_km)
+            values += (ue.slant_range_km, ue.elevation_deg, ue.zod_deg, ue.aod_deg)
+            assert all(type(x) is float for x in values)
+        assert ues[-1] == ues[len(ues) - 1]
+        with pytest.raises(IndexError):
+            ues[len(ues)]
+
+    def test_iteration_matches_indexing(self, ues):
+        records = list(ues)
+        assert len(records) == len(ues)
+        assert records == [ues[i] for i in range(len(ues))]
+
+    def test_slice_is_a_table(self, ues):
+        part = ues[100:2500:3]
+        assert isinstance(part, UeTable)
+        assert list(part) == list(ues)[100:2500:3]
+        assert len(ues[5:5]) == 0 and list(ues[5:5]) == []
+
+    def test_equality_compares_every_column(self, ues):
+        assert ues == UeTable.from_records(list(ues))
+        assert not ues != ues[:]
+        for k, column in enumerate(ues.columns()):
+            changed = ues.columns()
+            changed[k] = column.copy()
+            changed[k][7] += 1
+            assert ues != UeTable(*changed)
+        assert ues != ues[:-1]
+        assert ues != list(ues)

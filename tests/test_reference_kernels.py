@@ -1,11 +1,13 @@
 """The hot functions against straightforward reference versions.
 
 The references below are the original, unoptimised implementations of the
-hexagon sampler, the line-of-sight projection and the per-beam statistics,
-and the ``json.dump`` document the ``stats.json`` writer replaces.  The
-package versions must reproduce them exactly (``==``, not a tolerance): same
-draws from the generator in the same order, same floating-point operations,
-same bytes.
+hexagon sampler, the line-of-sight projection, the per-UE drop, the
+per-point footprint and the per-beam statistics, and the ``json.dump``
+document the ``stats.json`` writer replaces.  The package versions must
+reproduce them exactly (``==``, not a tolerance, and the same sign bits):
+same draws from the generator in the same order, same floating-point
+operations, same bytes.  The columnar projection kernel must also equal the
+scalar one.
 """
 
 from __future__ import annotations
@@ -23,10 +25,12 @@ from conftest import uv_disk_points
 from test_golden import CONFIGS
 from uvbeams import (
     BeamStats,
+    Footprint,
     GroundPoint,
     HorizonError,
     LosGeometry,
     SatelliteState,
+    UeRecord,
     UvPoint,
     beam_rng,
     beam_stats,
@@ -35,10 +39,12 @@ from uvbeams import (
     hexagon_vertices,
     horizon_limit,
     los_geometry,
+    project_footprints,
     sample_point_in_hexagon,
     uv_to_earth,
 )
 from uvbeams.cli import _stats_json
+from uvbeams.projection import _COLUMNS, _each, _line_of_sight
 
 
 def ref_sample_point_in_hexagon(center, circumradius, rng):
@@ -80,6 +86,42 @@ def ref_uv_to_earth(p_uv, sat):
     dy = los.slant_range_km * sin_zod * math.sin(los.aod_rad)
     dz = los.slant_range_km * math.cos(los.zod_rad)
     return GroundPoint(dx, dy, sat.orbit_radius_km + dz)
+
+
+def ref_drop_ues(layout, sat, ues_per_beam, seed):
+    records = []
+    for beam in layout.beams:
+        rng = beam_rng(seed, beam.id)
+        for k in range(ues_per_beam):
+            uv = ref_sample_point_in_hexagon(beam.center_uv, layout.beam_radius, rng)
+            los = ref_los_geometry(uv, sat)
+            records.append(
+                UeRecord(
+                    beam.id * ues_per_beam + k,
+                    beam.id,
+                    uv,
+                    ref_uv_to_earth(uv, sat),
+                    los.slant_range_km,
+                    math.degrees(los.elevation_rad),
+                    math.degrees(los.zod_rad),
+                    math.degrees(los.aod_rad),
+                )
+            )
+    return records
+
+
+def ref_footprint(beam, sat, samples_per_edge):
+    verts = beam.vertices_uv
+    boundary = []
+    for i in range(6):
+        a = verts[i]
+        b = verts[(i + 1) % 6]
+        for j in range(samples_per_edge):
+            t = j / samples_per_edge
+            uv = UvPoint(a.u + t * (b.u - a.u), a.v + t * (b.v - a.v))
+            boundary.append(ref_uv_to_earth(uv, sat))
+    boundary.append(boundary[0])
+    return Footprint(beam.id, tuple(boundary))
 
 
 def ref_beam_stats(ues, layout, bins=50):
@@ -143,6 +185,22 @@ def ref_stats_doc(stats, bins, ue_count):
             for s in stats
         ],
     }
+
+
+def flat(value):
+    """The numbers in a record, footprint or tuple, depth first."""
+    if isinstance(value, (int, float)):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    return [x for item in value for x in flat(item)]
+
+
+def assert_identical(got, expected):
+    """``==`` and, for every float, the same sign bit (``0.0 == -0.0``)."""
+    assert got == expected
+    got_signs = [math.copysign(1.0, x) for x in flat(got)]
+    assert got_signs == [math.copysign(1.0, x) for x in flat(expected)]
 
 
 def outcome(fn, *args):
@@ -248,3 +306,75 @@ def test_beam_stats_and_stats_json_match_reference(golden_drops, name, variant, 
     # strings takes minutes.
     text = "".join(_stats_json(stats, bins, len(ues)))
     assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+def horizon_points(limit):
+    """UV points on and just inside the horizon circle.  Points placed on the
+    circle by cos and sin can land one ulp outside; those are left out."""
+    points = [(limit, 0.0), (0.0, -limit), (-limit, 0.0), (math.nextafter(limit, 0.0), 0.0)]
+    points += [(limit * math.cos(0.1 * k), limit * math.sin(0.1 * k)) for k in range(63)]
+    return [p for p in points if math.hypot(*p) <= limit]
+
+
+def assert_columns_match_scalar(uv, sat):
+    u, v = np.array(uv, dtype=float).T
+    columns = _line_of_sight(u, v, sat, *_COLUMNS)
+    scalar = [_line_of_sight(a, b, sat) for a, b in uv]
+    assert all(type(c) is np.ndarray for c in columns)
+    assert_identical([c.tolist() for c in columns], [list(s) for s in zip(*scalar)])
+    for c in columns[1:5]:
+        assert_identical(_each(math.degrees)(c).tolist(), [math.degrees(x) for x in c.tolist()])
+
+
+@pytest.mark.parametrize("sat", SATELLITES, ids=["leo", "geo", "tiny"])
+def test_column_kernel_matches_scalar_kernel_on_disk(sat):
+    uv = [tuple(p) for p in uv_disk_points(3000, horizon_limit(sat), seed=11).tolist()]
+    # Nadir and the axes give zero and signed-zero coordinates.
+    uv += [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.1, -0.0), (-0.1, 0.0)]
+    assert_columns_match_scalar(uv, sat)
+
+
+@pytest.mark.parametrize("sat", SATELLITES, ids=["leo", "geo", "tiny"])
+def test_column_kernel_matches_scalar_kernel_at_horizon(sat):
+    assert_columns_match_scalar(horizon_points(horizon_limit(sat)), sat)
+
+
+# The first point past the horizon in a column, as a function of the limit.
+BEYOND = {
+    "next_double": lambda limit: (math.nextafter(limit, 2.0), 0.0),
+    "far": lambda limit: (0.0, -1.5 * limit),
+    "nan": lambda limit: (math.nan, 0.0),
+}
+
+
+@pytest.mark.parametrize("sat", SATELLITES, ids=["leo", "geo", "tiny"])
+@pytest.mark.parametrize("kind", sorted(BEYOND))
+def test_column_kernel_raises_the_scalar_horizon_error(sat, kind):
+    limit = horizon_limit(sat)
+    first = BEYOND[kind](limit)
+    uv = horizon_points(limit) + [first] + horizon_points(limit) + [(0.0, 1.01 * limit)]
+    with pytest.raises(HorizonError) as scalar:
+        _line_of_sight(*first, sat)
+    u, v = np.array(uv).T
+    with pytest.raises(HorizonError) as columns:
+        _line_of_sight(u, v, sat, *_COLUMNS)
+    assert str(columns.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("name", ["dense", "wide", "odd", "nadir"])
+def test_drop_matches_per_ue_reference(name):
+    config = CONFIGS[name]
+    layout = build_layout(config)
+    sat = config.satellite()
+    ues = drop_ues(layout, sat, config.ues_per_beam, config.seed)
+    assert_identical(list(ues), ref_drop_ues(layout, sat, config.ues_per_beam, config.seed))
+
+
+@pytest.mark.parametrize("samples_per_edge", [1, 3, 8])
+@pytest.mark.parametrize("name", ["dense", "wide", "odd", "nadir"])
+def test_footprints_match_per_point_reference(name, samples_per_edge):
+    config = CONFIGS[name]
+    layout = build_layout(config)
+    sat = config.satellite()
+    footprints = project_footprints(layout, sat, samples_per_edge)
+    assert_identical(list(footprints), [ref_footprint(b, sat, samples_per_edge) for b in layout])
