@@ -3,7 +3,9 @@ constants for reporting."""
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -19,7 +21,7 @@ from .layout import (
     beam_radius,
     center_offset,
 )
-from .projection import GroundPoint, SatelliteState, _project_columns, horizon_limit
+from .projection import _CHUNK, GroundPoint, SatelliteState, _project_columns, horizon_limit
 
 __all__ = [
     "BeamStats",
@@ -62,7 +64,7 @@ class FootprintTable:
     """Projected beam boundaries: ``beam_id`` holds one id per footprint, and
     ``x_km``, ``y_km`` and ``z_km`` one row of boundary points per footprint,
     the first point repeated at the end.  An int index and iteration yield
-    :class:`Footprint`s."""
+    :class:`Footprint`s, and a slice yields a table."""
 
     # A plain class, like UeTable, to keep import cheap.
     __slots__ = ("beam_id", "x_km", "y_km", "z_km")
@@ -73,7 +75,9 @@ class FootprintTable:
     def __len__(self) -> int:
         return len(self.beam_id)
 
-    def __getitem__(self, index: int) -> Footprint:
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return FootprintTable(self.beam_id[index], self.x_km[index], self.y_km[index], self.z_km[index])
         rows = (self.x_km[index].tolist(), self.y_km[index].tolist(), self.z_km[index].tolist())
         return Footprint(self.beam_id[index].item(), tuple(map(GroundPoint, *rows)))
 
@@ -123,13 +127,18 @@ def beam_stats(ues: UeTable | Iterable[UeRecord], layout: BeamLayout, bins: int 
     lo = float(slants.min())
     hi = float(slants.max())
 
-    # One stable sort groups the UEs by beam and keeps each beam's UEs in
-    # input order, so a group is the same contiguous array the beam's own
-    # list would give (its pairwise-summed mean has the same bits).
-    order = np.argsort(beam_ids, kind="stable")
-    beam_ids = beam_ids[order]
-    slants = slants[order]
-    elevations = elevations[order]
+    # Group the UEs by beam, each beam's UEs in input order, so a group is
+    # the same contiguous array the beam's own list would give (its
+    # pairwise-summed mean has the same bits).  Input already in beam order,
+    # as drop_ues emits it, needs no sort: a stable sort of it is the identity.
+    if np.any(beam_ids[1:] < beam_ids[:-1]):
+        order = np.argsort(beam_ids, kind="stable")
+        beam_ids = beam_ids[order]
+        slants = slants[order]
+        elevations = elevations[order]
+    else:
+        # Contiguous, like the sorted copies, so each mean sums alike.
+        slants = np.ascontiguousarray(slants)
     starts = np.flatnonzero(np.diff(beam_ids, prepend=beam_ids[0] - 1))
     ends = np.append(starts[1:], n)
     group_ids = beam_ids[starts].tolist()
@@ -158,7 +167,7 @@ def beam_stats(ues: UeTable | Iterable[UeRecord], layout: BeamLayout, bins: int 
         np.maximum.reduceat(slants, starts).tolist(),
         np.minimum.reduceat(elevations, starts).tolist(),
         np.maximum.reduceat(elevations, starts).tolist(),
-        counts.tolist(),
+        _histograms(counts, bin_lo, bin_hi),
     )
     return [
         BeamStats(
@@ -170,10 +179,27 @@ def beam_stats(ues: UeTable | Iterable[UeRecord], layout: BeamLayout, bins: int 
             mean_slant_km=float(slants[start:end].mean()),
             min_elevation_deg=min_elev,
             max_elevation_deg=max_elev,
-            histogram=tuple(zip(bin_lo, bin_hi, row)),
+            histogram=histogram,
         )
-        for beam_id, start, end, min_slant, max_slant, min_elev, max_elev, row in columns
+        for beam_id, start, end, min_slant, max_slant, min_elev, max_elev, histogram in columns
     ]
+
+
+def _histograms(counts: np.ndarray, bin_lo: list[float], bin_hi: list[float]) -> Iterator[tuple]:
+    """One ``(lo, hi, count)`` histogram per row of ``counts``, none empty.
+
+    Every histogram starts from one shared row of empty cells; only the
+    non-empty cells, found row-major by one nonzero pass, get tuples of their
+    own.  The cells are immutable, so sharing them is safe.
+    """
+    empty = [(lo, hi, 0) for lo, hi in zip(bin_lo, bin_hi)]
+    row_of_cell, bin_of_cell = np.nonzero(counts)
+    cells = zip(row_of_cell.tolist(), bin_of_cell.tolist(), counts[row_of_cell, bin_of_cell].tolist())
+    for _, row_cells in itertools.groupby(cells, key=operator.itemgetter(0)):
+        histogram = empty.copy()
+        for _, j, count in row_cells:
+            histogram[j] = (bin_lo[j], bin_hi[j], count)
+        yield tuple(histogram)
 
 
 def project_footprints(
@@ -187,16 +213,24 @@ def project_footprints(
     """
     if samples_per_edge < 1:
         raise ValueError(f"samples_per_edge must be at least 1, got {samples_per_edge}")
-    # Corners a and b of every edge, shape (beams, 6, 1, 2); each boundary
-    # point is a + t * (b - a) with t = j / samples_per_edge.
-    a = np.array([[(p.u, p.v) for p in beam.vertices_uv] for beam in layout.beams])[:, :, None]
-    b = np.roll(a, -1, axis=1)
+    beams = layout.beams
+    points = 6 * samples_per_edge + 1
+    out = np.empty((3, len(beams), points))
     t = (np.arange(samples_per_edge) / samples_per_edge)[:, None]
-    uv = (a + t * (b - a)).reshape(len(a), -1, 2)
-    uv = np.concatenate([uv, uv[:, :1]], axis=1)
-    xyz = _project_columns(uv[..., 0].ravel(), uv[..., 1].ravel(), sat, lambda *los: los[6:])
-    beam_ids = np.array([beam.id for beam in layout.beams], np.int64)
-    return FootprintTable(beam_ids, *xyz.reshape(3, *uv.shape[:2]))
+    # About _CHUNK points per step, so the boundary points and their
+    # temporaries exist for one step of beams at a time.
+    step = max(1, _CHUNK // points)
+    for start in range(0, len(beams), step):
+        # Corners a and b of every edge, shape (beams, 6, 1, 2); each
+        # boundary point is a + t * (b - a) with t = j / samples_per_edge.
+        a = np.array([[(p.u, p.v) for p in beam.vertices_uv] for beam in beams[start : start + step]])[:, :, None]
+        b = np.roll(a, -1, axis=1)
+        uv = (a + t * (b - a)).reshape(len(a), -1, 2)
+        uv = np.concatenate([uv, uv[:, :1]], axis=1)
+        xyz = _project_columns(uv[..., 0].ravel(), uv[..., 1].ravel(), sat, lambda *los: los[6:])
+        out[:, start : start + step] = xyz.reshape(3, len(a), points)
+    beam_ids = np.array([beam.id for beam in beams], np.int64)
+    return FootprintTable(beam_ids, *out)
 
 
 def footprint_area_km2(footprint: Footprint) -> float:

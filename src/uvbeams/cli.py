@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import __version__
-from .analysis import BeamStats, beam_stats, project_footprints
+from .analysis import BeamStats, FootprintTable, beam_stats, project_footprints
 from .deployment import RNG_ALGORITHM, RNG_STREAM_RULE, drop_ues
 from .layout import BeamRole, ScenarioConfig, build_layout
 from .projection import _CHUNK, HorizonError, horizon_limit
@@ -167,13 +167,28 @@ def _stats_json(stats: list[BeamStats], bins: int, ue_count: int) -> Iterator[st
 
 
 def _csv(header: str, template: str, *columns: np.ndarray) -> Iterator[str]:
-    """``header`` and one ``template % row`` line per row of ``columns``, read
-    :data:`_CHUNK` rows at a time; ``+ 0.0`` turns a float -0.0 into 0.0."""
+    """``header`` and one ``template % row`` line per row of ``columns``."""
     yield header + "\n"
+    yield from _rows(template, *columns)
+
+
+def _rows(template: str, *columns: np.ndarray) -> Iterator[str]:
+    """One ``template % row`` line per row of ``columns``, read :data:`_CHUNK`
+    rows at a time; ``+ 0.0`` turns a float -0.0 into 0.0."""
     for start in range(0, len(columns[0]), _CHUNK):
         chunk = (c[start : start + _CHUNK] for c in columns)
         values = ((c + 0.0 if c.dtype.kind == "f" else c).tolist() for c in chunk)
         yield from map(template.__mod__, zip(*values))
+
+
+def _footprints_csv(footprints: FootprintTable) -> Iterator[str]:
+    """``footprints.csv``, formatted from one slice of at most :data:`_CHUNK`
+    rows (but at least one beam) at a time, so no full-length column of beam
+    ids or vertex indices is built."""
+    yield FOOTPRINTS_CSV_HEADER + "\n"
+    step = max(1, _CHUNK // footprints.x_km.shape[1])
+    for start in range(0, len(footprints), step):
+        yield from _rows("%d,%d,%.9g,%.9g,%.9g\n", *footprints[start : start + step].columns())
 
 
 def _write(path: Path, *parts: Iterable[str]) -> None:
@@ -212,7 +227,7 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
     beams = ((b.id, b.index.q, b.index.r, b.center_uv.u, b.center_uv.v, b.color, b.role.value) for b in layout)
     _write(out_dir / "beams.csv", _csv(BEAMS_CSV_HEADER, "%d,%d,%d,%.9g,%.9g,%d,%s\n", *map(np.array, zip(*beams))))
     _write(out_dir / "ues.csv", _csv(UES_CSV_HEADER, "%d,%d" + ",%.9g" * 9 + "\n", *ues.columns()))
-    _write(out_dir / "footprints.csv", _csv(FOOTPRINTS_CSV_HEADER, "%d,%d,%.9g,%.9g,%.9g\n", *footprints.columns()))
+    _write(out_dir / "footprints.csv", _footprints_csv(footprints))
     _write(out_dir / "stats.json", _stats_json(stats, bins, len(ues)))
 
     manifest = RunManifest(

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .layout import _CORNER_UNIT, BeamLayout
+from .layout import _CORNER_UNIT, BeamLayout, _check_ues_per_beam
 from .projection import _CHUNK, GroundPoint, SatelliteState, UvPoint, _each, _project_columns
 
 __all__ = [
@@ -140,8 +140,7 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
     projection would indicate a layout built past the horizon guard and is
     propagated as-is.
     """
-    if ues_per_beam < 1:
-        raise ValueError(f"ues_per_beam must be at least 1, got {ues_per_beam}")
+    _check_ues_per_beam(ues_per_beam)
     draws = (
         sample_point_in_hexagon(beam.center_uv, layout.beam_radius, rng)
         for beam in layout.beams

@@ -89,13 +89,11 @@ class ScenarioConfig:
         # uses them; calling it here rejects a bad config at construction.
         self.satellite()
         beam_radius(self.beamwidth_3db_deg)
-        if self.frf not in (1, 3):
-            raise ValueError(f"unsupported frequency reuse factor {self.frf}; expected 1 or 3")
-        if self.rings is not None and self.rings < 0:
-            raise ValueError(f"ring count must be non-negative, got {self.rings}")
+        frf_color(HexIndex(0, 0), self.frf)
+        if self.rings is not None:
+            _check_rings(self.rings)
         center_offset(self.center_elevation_deg, self.earth_radius_km, self.altitude_km)
-        if self.ues_per_beam < 1:
-            raise ValueError(f"ues_per_beam must be at least 1, got {self.ues_per_beam}")
+        _check_ues_per_beam(self.ues_per_beam)
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
@@ -194,9 +192,20 @@ def hex_grid(rings: int) -> list[HexIndex]:
     its +q corner, so ids derived from this order are stable.  The count is
     ``1 + 3 * rings * (rings + 1)``.
     """
+    _check_rings(rings)
+    return list(_hex_cells(rings))
+
+
+def _check_rings(rings: int) -> None:
     if rings < 0:
         raise ValueError(f"ring count must be non-negative, got {rings}")
-    return list(_hex_cells(rings))
+
+
+def _check_ues_per_beam(ues_per_beam: int) -> None:
+    """The UE count check of :func:`~uvbeams.deployment.drop_ues`, kept here
+    so that :class:`ScenarioConfig` can call it."""
+    if ues_per_beam < 1:
+        raise ValueError(f"ues_per_beam must be at least 1, got {ues_per_beam}")
 
 
 def _hex_cells(rings: int) -> Iterator[HexIndex]:

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+
+from test_golden import CONFIGS
 
 from uvbeams import (
     Footprint,
@@ -135,6 +140,23 @@ class TestBeamStats:
         with pytest.raises(ValueError, match=f"UE 1 has a non-finite .*: {value}$"):
             beam_stats(records, nadir_layout, bins=10)
 
+    def test_wide_histograms_share_their_empty_cells(self):
+        config = CONFIGS["wide"]
+        layout = build_layout(config)
+        ues = drop_ues(layout, config.satellite(), config.ues_per_beam, config.seed)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            stats = beam_stats(ues, layout, bins=50)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # 1261 beams x 50 bins; one tuple per cell would keep about 4.9 MB.
+        assert kept < 1.5e6
+        cells = [cell for s in stats for cell in s.histogram]
+        assert len(cells) == len(layout) * 50
+        assert len(set(map(id, cells))) <= 50 + sum(cell[2] > 0 for cell in cells)
+
 
 class TestFootprints:
     def test_table_items_are_footprints(self, leo_sat, frf1_layout):
@@ -149,6 +171,16 @@ class TestFootprints:
             assert len(fp.boundary) == 6 * 2 + 1
             assert all(type(c) is float for p in fp.boundary for c in (p.x_km, p.y_km, p.z_km))
 
+    def test_slice_is_a_table_of_the_same_rows(self, leo_sat, frf1_layout):
+        table = project_footprints(frf1_layout, leo_sat, samples_per_edge=2)
+        points = 6 * 2 + 1
+        full = table.columns()
+        for start, stop in [(0, 5), (7, 61), (60, 61), (3, 3)]:
+            part = table[start:stop]
+            assert isinstance(part, FootprintTable)
+            assert list(part) == list(table)[start:stop]
+            rows = slice(start * points, stop * points)
+            assert all(np.array_equal(got, want[rows]) for got, want in zip(part.columns(), full, strict=True))
 
     def test_closed_and_on_sphere(self, leo_sat, frf1_layout):
         for fp in project_footprints(frf1_layout, leo_sat, samples_per_edge=4):

@@ -1,0 +1,126 @@
+"""Property tests of the geometry and the statistics, drawn by Hypothesis.
+
+Every test is derandomized, so a run draws the same examples each time and
+the suite stays deterministic.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from test_golden import CONFIGS  # noqa: E402
+from uvbeams import (  # noqa: E402
+    GroundPoint,
+    SatelliteState,
+    ScenarioConfig,
+    UeTable,
+    UvPoint,
+    beam_rng,
+    beam_stats,
+    build_layout,
+    drop_ues,
+    earth_to_uv,
+    horizon_limit,
+    sample_point_in_hexagon,
+    uv_to_earth,
+)
+
+deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+EARTH_RADIUS_KM = 6371.0
+# LEO to beyond GEO.
+satellites = st.builds(
+    SatelliteState, st.just(EARTH_RADIUS_KM), st.floats(300.0, 40000.0)
+)
+# A UV point as a fraction of the horizon radius and an angle; a point put
+# on the horizon circle by cos and sin can land one ulp outside it.
+fractions = st.floats(0.0, 0.999999)
+angles = st.floats(-math.pi, math.pi)
+finite = st.floats(-1e3, 1e3)
+
+
+def uv_at(sat: SatelliteState, fraction: float, angle: float) -> UvPoint:
+    r = fraction * horizon_limit(sat)
+    return UvPoint(r * math.cos(angle), r * math.sin(angle))
+
+
+@pytest.fixture(scope="module")
+def odd_drop():
+    config = CONFIGS["odd"]
+    layout = build_layout(config)
+    return layout, drop_ues(layout, config.satellite(), config.ues_per_beam, config.seed)
+
+
+@deterministic
+@given(data=st.data(), bins=st.integers(1, 60))
+def test_beam_stats_counts_every_ue_once_on_one_grid(odd_drop, data, bins):
+    layout, ues = odd_drop
+    # Any subset of the drop, in any order.
+    order = data.draw(st.permutations(range(len(ues))))
+    keep = np.array(order[: data.draw(st.integers(1, len(ues)))])
+    table = UeTable(*(column[keep] for column in ues.columns()))
+    stats = beam_stats(table, layout, bins)
+    assert [s.beam_id for s in stats] == sorted(set(table.beam_id.tolist()))
+    assert sum(s.ue_count for s in stats) == len(keep)
+    slants = table.slant_range_km
+    lo, hi = float(slants.min()), float(slants.max())
+    edges = [lo, hi] if hi <= lo else np.linspace(lo, hi, bins + 1).tolist()
+    grid = list(zip(edges[:-1], edges[1:]))
+    for s in stats:
+        assert sum(count for _, _, count in s.histogram) == s.ue_count
+        assert [(a, b) for a, b, _ in s.histogram] == grid
+
+
+@deterministic
+@given(sat=satellites, fraction=fractions, angle=angles)
+def test_uv_to_earth_lands_on_the_sphere(sat, fraction, angle):
+    ground = uv_to_earth(uv_at(sat, fraction, angle), sat)
+    assert abs(ground.norm_km() - sat.earth_radius_km) <= 1e-9 * sat.earth_radius_km
+
+
+@deterministic
+@given(sat=satellites, fraction=fractions, angle=angles)
+def test_earth_to_uv_inverts_uv_to_earth_inside_the_horizon(sat, fraction, angle):
+    p = uv_at(sat, fraction, angle)
+    q = earth_to_uv(uv_to_earth(p, sat), sat)
+    assert math.hypot(q.u - p.u, q.v - p.v) <= 1e-12
+
+
+@deterministic
+@given(sat=satellites, other=finite, nan_first=st.booleans())
+def test_uv_to_earth_rejects_nan(sat, other, nan_first):
+    p = UvPoint(math.nan, other) if nan_first else UvPoint(other, math.nan)
+    with pytest.raises(ValueError):
+        uv_to_earth(p, sat)
+
+
+@deterministic
+@given(sat=satellites, fraction=fractions, angle=angles, axis=st.integers(0, 2))
+def test_earth_to_uv_rejects_nan(sat, fraction, angle, axis):
+    ground = uv_to_earth(uv_at(sat, fraction, angle), sat)
+    xyz = [ground.x_km, ground.y_km, ground.z_km]
+    xyz[axis] = math.nan
+    with pytest.raises(ValueError):
+        earth_to_uv(GroundPoint(*xyz), sat)
+
+
+@deterministic
+@given(radius=st.sampled_from([math.nan, -math.nan]), u=finite, v=finite)
+def test_sampler_rejects_nan_radius(radius, u, v):
+    with pytest.raises(ValueError):
+        sample_point_in_hexagon(UvPoint(u, v), radius, beam_rng(0, 0))
+
+
+@deterministic
+@given(field=st.sampled_from(["beamwidth_3db_deg", "altitude_km", "earth_radius_km", "center_elevation_deg"]))
+def test_scenario_config_rejects_nan(field):
+    kwargs = {"beamwidth_3db_deg": 4.4127, "altitude_km": 1200.0, field: math.nan}
+    with pytest.raises(ValueError):
+        ScenarioConfig(**kwargs)
+

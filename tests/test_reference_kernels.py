@@ -44,7 +44,7 @@ from uvbeams import (
     uv_to_earth,
 )
 from uvbeams.cli import _stats_json
-from uvbeams.projection import _COLUMNS, _each, _line_of_sight
+from uvbeams.projection import _CHUNK, _COLUMNS, _each, _line_of_sight
 
 
 def ref_sample_point_in_hexagon(center, circumradius, rng):
@@ -288,6 +288,8 @@ def shuffled(ues):
 VARIANTS = {
     "as_dropped": lambda ues, bins: ues,
     "shuffled": lambda ues, bins: shuffled(ues),
+    # Unsorted but grouped: the sort path, with every beam's UEs in order.
+    "beam_descending": lambda ues, bins: sorted(ues, key=lambda ue: -ue.beam_id),
     "single_ue": lambda ues, bins: ues[len(ues) // 2 : len(ues) // 2 + 1],
     "on_bin_edges": lambda ues, bins: shuffled(on_bin_edges(ues, bins)),
 }
@@ -376,5 +378,20 @@ def test_footprints_match_per_point_reference(name, samples_per_edge):
     config = CONFIGS[name]
     layout = build_layout(config)
     sat = config.satellite()
+    footprints = project_footprints(layout, sat, samples_per_edge)
+    assert_identical(list(footprints), [ref_footprint(b, sat, samples_per_edge) for b in layout])
+
+
+@pytest.mark.parametrize("samples_per_edge", [1, 8, 341, 342])
+def test_footprints_match_reference_at_chunk_boundaries(samples_per_edge):
+    # 7, 49, 2047 and 2053 points per beam: the projection steps through
+    # max(1, _CHUNK // points) beams at a time, and the 61 beams are not a
+    # multiple of that step for 7 or 49 points.
+    config = CONFIGS["odd"]
+    layout = build_layout(config)
+    sat = config.satellite()
+    points = 6 * samples_per_edge + 1
+    step = max(1, _CHUNK // points)
+    assert step == 1 or len(layout) % step
     footprints = project_footprints(layout, sat, samples_per_edge)
     assert_identical(list(footprints), [ref_footprint(b, sat, samples_per_edge) for b in layout])
