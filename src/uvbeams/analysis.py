@@ -111,19 +111,37 @@ def beam_stats(ues: UeTable | Iterable[UeRecord], layout: BeamLayout, bins: int 
     layout, or a slant range or elevation that is not finite, raises
     :class:`ValueError`.
     """
-    if bins < 1:
-        raise ValueError(f"bins must be at least 1, got {bins}")
+    _check_bins(bins)
     if not isinstance(ues, UeTable):
         ues = UeTable.from_records(ues)
-    n = len(ues)
+    return _beam_stats(ues.ue_id, ues.beam_id, ues.slant_range_km, ues.elevation_deg, layout, bins)
+
+
+def _check_bins(bins: int) -> None:
+    """The bin count check of :func:`beam_stats`, kept apart so that
+    ``run()`` can make it before it writes anything."""
+    if bins < 1:
+        raise ValueError(f"bins must be at least 1, got {bins}")
+
+
+def _beam_stats(
+    ue_ids: np.ndarray,
+    beam_ids: np.ndarray,
+    slants: np.ndarray,
+    elevations: np.ndarray,
+    layout: BeamLayout,
+    bins: int,
+) -> list[BeamStats]:
+    """:func:`beam_stats` on the four columns it reads; the caller has
+    checked ``bins``."""
+    n = len(slants)
     if not n:
         raise ValueError("no UE records to aggregate")
     roles = {beam.id: beam.role for beam in layout.beams}
-    beam_ids, slants, elevations = ues.beam_id, ues.slant_range_km, ues.elevation_deg
     for name, column in (("slant range", slants), ("elevation", elevations)):
         bad = np.flatnonzero(~np.isfinite(column))
         if len(bad):
-            raise ValueError(f"UE {ues.ue_id[bad[0]]} has a non-finite {name}: {column[bad[0]]}")
+            raise ValueError(f"UE {ue_ids[bad[0]]} has a non-finite {name}: {column[bad[0]]}")
     lo = float(slants.min())
     hi = float(slants.max())
 
@@ -139,7 +157,7 @@ def beam_stats(ues: UeTable | Iterable[UeRecord], layout: BeamLayout, bins: int 
     else:
         # Contiguous, like the sorted copies, so each mean sums alike.
         slants = np.ascontiguousarray(slants)
-    starts = np.flatnonzero(np.diff(beam_ids, prepend=beam_ids[0] - 1))
+    starts = np.flatnonzero(np.concatenate(([True], beam_ids[1:] != beam_ids[:-1])))
     ends = np.append(starts[1:], n)
     group_ids = beam_ids[starts].tolist()
     unknown = [beam_id for beam_id in group_ids if beam_id not in roles]
@@ -151,13 +169,17 @@ def beam_stats(ues: UeTable | Iterable[UeRecord], layout: BeamLayout, bins: int 
         counts = (ends - starts)[:, None]
     else:
         # np.histogram's edge rule: bin i holds edges[i] <= x < edges[i + 1],
-        # and the last bin is closed on the right.
+        # and the last bin is closed on the right.  Each UE's cell, group *
+        # bins + bin, is built in one int64 column, its bins _CHUNK UEs at a
+        # time.
         edges = np.linspace(lo, hi, bins + 1)
         bin_lo, bin_hi = edges[:-1].tolist(), edges[1:].tolist()
-        bin_of_ue = np.minimum(np.searchsorted(edges, slants, "right") - 1, bins - 1)
-        group_of_ue = np.repeat(np.arange(len(starts)), ends - starts)
-        counts = np.bincount(group_of_ue * bins + bin_of_ue, minlength=len(starts) * bins)
-        counts = counts.reshape(len(starts), bins)
+        cell = np.repeat(np.arange(0, len(starts) * bins, bins), ends - starts)
+        for start in range(0, n, _CHUNK):
+            bin_of_ue = np.searchsorted(edges, slants[start : start + _CHUNK], "right") - 1
+            cell[start : start + _CHUNK] += np.minimum(bin_of_ue, bins - 1, out=bin_of_ue)
+        counts = np.bincount(cell, minlength=len(starts) * bins).reshape(len(starts), bins)
+        del cell
 
     columns = zip(
         group_ids,
@@ -190,16 +212,29 @@ def _histograms(counts: np.ndarray, bin_lo: list[float], bin_hi: list[float]) ->
 
     Every histogram starts from one shared row of empty cells; only the
     non-empty cells, found row-major by one nonzero pass, get tuples of their
-    own.  The cells are immutable, so sharing them is safe.
+    own, and rows with equal non-empty cells share one histogram.  Cells and
+    histograms are immutable, so sharing them is safe.
     """
     empty = [(lo, hi, 0) for lo, hi in zip(bin_lo, bin_hi)]
+    shared: dict[tuple, tuple] = {}
     row_of_cell, bin_of_cell = np.nonzero(counts)
     cells = zip(row_of_cell.tolist(), bin_of_cell.tolist(), counts[row_of_cell, bin_of_cell].tolist())
     for _, row_cells in itertools.groupby(cells, key=operator.itemgetter(0)):
-        histogram = empty.copy()
-        for _, j, count in row_cells:
-            histogram[j] = (bin_lo[j], bin_hi[j], count)
-        yield tuple(histogram)
+        _, js, row_counts = zip(*row_cells)
+        histogram = shared.get((js, row_counts))
+        if histogram is None:
+            row = empty.copy()
+            for j, count in zip(js, row_counts):
+                row[j] = (bin_lo[j], bin_hi[j], count)
+            histogram = shared[js, row_counts] = tuple(row)
+        yield histogram
+
+
+def _check_samples_per_edge(samples_per_edge: int) -> None:
+    """The edge sample check of :func:`project_footprints`, kept apart so
+    that ``run()`` can make it before it writes anything."""
+    if samples_per_edge < 1:
+        raise ValueError(f"samples_per_edge must be at least 1, got {samples_per_edge}")
 
 
 def project_footprints(
@@ -211,8 +246,7 @@ def project_footprints(
     first corner) before projection, which is enough to show how the Earth's
     curvature bends the far-side footprints.
     """
-    if samples_per_edge < 1:
-        raise ValueError(f"samples_per_edge must be at least 1, got {samples_per_edge}")
+    _check_samples_per_edge(samples_per_edge)
     beams = layout.beams
     points = 6 * samples_per_edge + 1
     out = np.empty((3, len(beams), points))

@@ -19,10 +19,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import __version__
-from .analysis import BeamStats, FootprintTable, beam_stats, project_footprints
+from .analysis import BeamStats, _beam_stats, _check_bins, _check_samples_per_edge, project_footprints
 from .deployment import RNG_ALGORITHM, RNG_STREAM_RULE, drop_ues
-from .layout import BeamRole, ScenarioConfig, build_layout
-from .projection import _CHUNK, HorizonError, horizon_limit
+from .layout import BeamLayout, BeamRole, ScenarioConfig, build_layout
+from .projection import _CHUNK, HorizonError, SatelliteState, horizon_limit
 
 __all__ = [
     "GEO_ALTITUDE_KM",
@@ -54,6 +54,9 @@ OUTPUT_FILES = ("beams.csv", "ues.csv", "footprints.csv", "stats.json", "manifes
 BEAMS_CSV_HEADER = "id,q,r,u,v,color,role"
 UES_CSV_HEADER = "ue_id,beam_id,u,v,x_km,y_km,z_km,slant_km,elev_deg,zod_deg,aod_deg"
 FOOTPRINTS_CSV_HEADER = "beam_id,vertex_idx,x_km,y_km,z_km"
+_BEAMS_ROW = "%d,%d,%d,%.9g,%.9g,%d,%s\n"
+_UES_ROW = "%d,%d" + ",%.9g" * 9 + "\n"
+_FOOTPRINTS_ROW = "%d,%d,%.9g,%.9g,%.9g\n"
 
 
 @dataclass(frozen=True)
@@ -181,14 +184,37 @@ def _rows(template: str, *columns: np.ndarray) -> Iterator[str]:
         yield from map(template.__mod__, zip(*values))
 
 
-def _footprints_csv(footprints: FootprintTable) -> Iterator[str]:
-    """``footprints.csv``, formatted from one slice of at most :data:`_CHUNK`
-    rows (but at least one beam) at a time, so no full-length column of beam
-    ids or vertex indices is built."""
+def _beam_chunks(layout: BeamLayout, per_beam: int) -> Iterator[tuple[int, BeamLayout]]:
+    """The first beam index and the sub-layout of each run of ``max(1,
+    _CHUNK // per_beam)`` consecutive beams, for work of ``per_beam`` rows
+    per beam."""
+    step = max(1, _CHUNK // per_beam)
+    for start in range(0, len(layout), step):
+        yield start, dataclasses.replace(layout, beams=layout.beams[start : start + step])
+
+
+def _ues_csv(
+    layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: int, slants: np.ndarray, elevations: np.ndarray
+) -> Iterator[str]:
+    """``ues.csv``, dropped and formatted one beam chunk at a time.  Each
+    chunk's slant ranges and elevations are copied into ``slants`` and
+    ``elevations`` as it goes; every beam's draws depend only on the seed
+    and its id, so the rows are those of one whole-layout drop."""
+    yield UES_CSV_HEADER + "\n"
+    for start, chunk in _beam_chunks(layout, ues_per_beam):
+        ues = drop_ues(chunk, sat, ues_per_beam, seed)
+        rows = slice(start * ues_per_beam, start * ues_per_beam + len(ues))
+        slants[rows] = ues.slant_range_km
+        elevations[rows] = ues.elevation_deg
+        yield from _rows(_UES_ROW, *ues.columns())
+
+
+def _footprints_csv(layout: BeamLayout, sat: SatelliteState, samples_per_edge: int) -> Iterator[str]:
+    """``footprints.csv``, projected and formatted one chunk of at most
+    :data:`_CHUNK` boundary points (but at least one beam) at a time."""
     yield FOOTPRINTS_CSV_HEADER + "\n"
-    step = max(1, _CHUNK // footprints.x_km.shape[1])
-    for start in range(0, len(footprints), step):
-        yield from _rows("%d,%d,%.9g,%.9g,%.9g\n", *footprints[start : start + step].columns())
+    for _, chunk in _beam_chunks(layout, 6 * samples_per_edge + 1):
+        yield from _rows(_FOOTPRINTS_ROW, *project_footprints(chunk, sat, samples_per_edge).columns())
 
 
 def _write(path: Path, *parts: Iterable[str]) -> None:
@@ -214,10 +240,9 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
     fails partway leaves no manifest beside data files it does not describe.
     """
     layout = build_layout(config)
+    _check_bins(bins)
+    _check_samples_per_edge(edge_samples)
     sat = config.satellite()
-    ues = drop_ues(layout, sat, config.ues_per_beam, config.seed)
-    stats = beam_stats(ues, layout, bins)
-    footprints = project_footprints(layout, sat, edge_samples)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -225,10 +250,18 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
 
     # CSV floats carry 9 significant digits.
     beams = ((b.id, b.index.q, b.index.r, b.center_uv.u, b.center_uv.v, b.color, b.role.value) for b in layout)
-    _write(out_dir / "beams.csv", _csv(BEAMS_CSV_HEADER, "%d,%d,%d,%.9g,%.9g,%d,%s\n", *map(np.array, zip(*beams))))
-    _write(out_dir / "ues.csv", _csv(UES_CSV_HEADER, "%d,%d" + ",%.9g" * 9 + "\n", *ues.columns()))
-    _write(out_dir / "footprints.csv", _footprints_csv(footprints))
-    _write(out_dir / "stats.json", _stats_json(stats, bins, len(ues)))
+    _write(out_dir / "beams.csv", _csv(BEAMS_CSV_HEADER, _BEAMS_ROW, *map(np.array, zip(*beams))))
+    # The statistics need only each UE's slant range and elevation.
+    n = config.ues_per_beam
+    slants, elevations = np.empty((2, len(layout) * n))
+    _write(out_dir / "ues.csv", _ues_csv(layout, sat, n, config.seed, slants, elevations))
+    _write(out_dir / "footprints.csv", _footprints_csv(layout, sat, edge_samples))
+    # UE ids are beam_id * n + k, as drop_ues numbers them.
+    beam_ids = np.array([beam.id for beam in layout.beams], np.int64)
+    ue_ids = np.add.outer(beam_ids * n, np.arange(n)).ravel()
+    stats = _beam_stats(ue_ids, beam_ids.repeat(n), slants, elevations, layout, bins)
+    del ue_ids, slants, elevations  # not needed to format stats.json
+    _write(out_dir / "stats.json", _stats_json(stats, bins, len(layout) * n))
 
     manifest = RunManifest(
         version=__version__,

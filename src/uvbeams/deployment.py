@@ -108,18 +108,22 @@ def sample_point_in_hexagon(
     a uniform triangle index plus a reflected pair of uniforms gives an
     exact, rejection-free draw.  Three values are consumed from ``rng``, in
     this order: ``rng.integers(6)``, then two ``rng.random()``.  The order is
-    part of the byte-reproducibility contract of the drop.
+    part of the byte-reproducibility contract of the drop.  A circumradius
+    that is not positive and finite, or a centre coordinate that is not
+    finite, raises :class:`ValueError` before any draw.
     """
     if not 0.0 < circumradius < math.inf:
         raise ValueError(f"circumradius must be positive and finite, got {circumradius}")
+    cu = center.u
+    cv = center.v
+    if not (math.isfinite(cu) and math.isfinite(cv)):
+        raise ValueError(f"hexagon centre must be finite, got {center}")
     k = int(rng.integers(6))
     a1 = rng.random()
     a2 = rng.random()
     if a1 + a2 > 1.0:
         a1, a2 = 1.0 - a1, 1.0 - a2
     # Corners k and k + 1 of the fan triangle, computed as hexagon_vertices does.
-    cu = center.u
-    cv = center.v
     c0u, c0v = _CORNER_UNIT[k]
     c1u, c1v = _CORNER_UNIT[(k + 1) % 6]
     v0u = cu + circumradius * c0u

@@ -84,6 +84,13 @@ class TestHexagonSampler:
         with pytest.raises(ValueError):
             sample_point_in_hexagon(UvPoint(0.0, 0.0), radius, beam_rng(0, 0))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", ["u", "v"])
+    def test_non_finite_centre_rejected(self, axis, value):
+        center = UvPoint(**{"u": 0.0, "v": 0.0, axis: value})
+        with pytest.raises(ValueError, match="centre"):
+            sample_point_in_hexagon(center, 0.1, beam_rng(0, 0))
+
 
 class TestBeamRng:
     def test_streams_differ_by_beam(self):

@@ -2,8 +2,9 @@
 
 The references below are the original, unoptimised implementations of the
 hexagon sampler, the line-of-sight projection, the per-UE drop, the
-per-point footprint and the per-beam statistics, and the ``json.dump``
-document the ``stats.json`` writer replaces.  The package versions must
+per-point footprint and the per-beam statistics, the ``json.dump``
+document the ``stats.json`` writer replaces, and the whole-table pipeline
+that ``run()`` streams in beam chunks.  The package versions must
 reproduce them exactly (``==``, not a tolerance, and the same sign bits):
 same draws from the generator in the same order, same floating-point
 operations, same bytes.  The columnar projection kernel must also equal the
@@ -24,6 +25,9 @@ import pytest
 from conftest import uv_disk_points
 from test_golden import CONFIGS
 from uvbeams import (
+    RNG_ALGORITHM,
+    RNG_STREAM_RULE,
+    BeamRole,
     BeamStats,
     Footprint,
     GroundPoint,
@@ -41,9 +45,22 @@ from uvbeams import (
     los_geometry,
     project_footprints,
     sample_point_in_hexagon,
+    __version__,
     uv_to_earth,
 )
-from uvbeams.cli import _stats_json
+from uvbeams.cli import (
+    _BEAMS_ROW,
+    _FOOTPRINTS_ROW,
+    _UES_ROW,
+    BEAMS_CSV_HEADER,
+    FOOTPRINTS_CSV_HEADER,
+    OUTPUT_FILES,
+    UES_CSV_HEADER,
+    _csv,
+    _stats_json,
+    _write,
+    run,
+)
 from uvbeams.projection import _CHUNK, _COLUMNS, _each, _line_of_sight
 
 
@@ -395,3 +412,53 @@ def test_footprints_match_reference_at_chunk_boundaries(samples_per_edge):
     assert step == 1 or len(layout) % step
     footprints = project_footprints(layout, sat, samples_per_edge)
     assert_identical(list(footprints), [ref_footprint(b, sat, samples_per_edge) for b in layout])
+
+
+def ref_run(config, out_dir, bins, edge_samples):
+    """``run()`` on whole tables: one drop of every beam, the public
+    ``beam_stats``, the footprints of every beam, then the same writers."""
+    layout = build_layout(config)
+    sat = config.satellite()
+    ues = drop_ues(layout, sat, config.ues_per_beam, config.seed)
+    stats = beam_stats(ues, layout, bins)
+    footprints = project_footprints(layout, sat, edge_samples)
+    beams = ((b.id, b.index.q, b.index.r, b.center_uv.u, b.center_uv.v, b.color, b.role.value) for b in layout)
+    _write(out_dir / "beams.csv", _csv(BEAMS_CSV_HEADER, _BEAMS_ROW, *map(np.array, zip(*beams))))
+    _write(out_dir / "ues.csv", _csv(UES_CSV_HEADER, _UES_ROW, *ues.columns()))
+    _write(out_dir / "footprints.csv", _csv(FOOTPRINTS_CSV_HEADER, _FOOTPRINTS_ROW, *footprints.columns()))
+    _write(out_dir / "stats.json", _stats_json(stats, bins, len(ues)))
+    manifest = {
+        "version": __version__,
+        "config": {**dataclasses.asdict(config), "rings": config.ring_count},
+        "derived": {
+            "beam_radius": layout.beam_radius,
+            "adjacent_beam_spacing": layout.spacing,
+            "center_offset_u": layout.center_offset_u,
+            "horizon_limit": horizon_limit(sat),
+            "beam_count": len(layout),
+            "statistics_beam_count": sum(b.role is BeamRole.STATISTICS for b in layout),
+        },
+        "rng": {"generator": RNG_ALGORITHM, "stream_rule": RNG_STREAM_RULE, "seed": config.seed},
+        "outputs": list(OUTPUT_FILES),
+    }
+    _write(out_dir / "manifest.json", [json.dumps(manifest, indent=2), "\n"])
+
+
+@pytest.mark.parametrize("edge_samples", [8, 342])
+@pytest.mark.parametrize("ues_per_beam", [1, 300, 1024, 2049])
+def test_streamed_run_matches_whole_table_run(tmp_path, ues_per_beam, edge_samples):
+    # run() drops max(1, _CHUNK // ues_per_beam) beams at a time: chunks of
+    # 7, 6 + 1, 2 + 2 + 2 + 1 and 1 x 7 of the 7 beams.  With 8 edge samples
+    # a beam has 49 boundary points and the footprints are one chunk; with
+    # 342 it has 2053, more than _CHUNK, and each beam is its own chunk.
+    config = dataclasses.replace(CONFIGS["odd"], rings=1, ues_per_beam=ues_per_beam)
+    assert len(build_layout(config)) == 7
+    run(config, tmp_path / "streamed", bins=50, edge_samples=edge_samples)
+    expected = tmp_path / "whole"
+    expected.mkdir()
+    ref_run(config, expected, bins=50, edge_samples=edge_samples)
+    for name in OUTPUT_FILES:
+        got = (tmp_path / "streamed" / name).read_bytes()
+        want = (expected / name).read_bytes()
+        # Lines, not one string, so a failure shows a short diff.
+        assert got.splitlines(keepends=True) == want.splitlines(keepends=True), name
