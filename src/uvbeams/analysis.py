@@ -17,6 +17,7 @@ from .layout import (
     BeamLayout,
     BeamRole,
     ScenarioConfig,
+    _check_integer,
     adjacent_beam_spacing,
     beam_radius,
     center_offset,
@@ -107,62 +108,55 @@ def beam_stats(ues: UeTable | Iterable[UeRecord], layout: BeamLayout, bins: int 
     Bin edges are equal-width over the global [min, max] slant range so the
     per-beam histograms are directly comparable; the last bin is closed on
     the right so every UE is counted exactly once.  Records that are not a
-    :class:`UeTable` are turned into one first.  A beam id missing from the
+    :class:`UeTable` are turned into one first, and a stable sort by beam id
+    groups them, each beam's UEs in input order.  A beam id missing from the
     layout, or a slant range or elevation that is not finite, raises
     :class:`ValueError`.
     """
     _check_bins(bins)
     if not isinstance(ues, UeTable):
         ues = UeTable.from_records(ues)
-    return _beam_stats(ues.ue_id, ues.beam_id, ues.slant_range_km, ues.elevation_deg, layout, bins)
+    if not len(ues):
+        raise ValueError("no UE records to aggregate")
+    for name, column in (("slant range", ues.slant_range_km), ("elevation", ues.elevation_deg)):
+        bad = np.flatnonzero(~np.isfinite(column))
+        if len(bad):
+            raise ValueError(f"UE {ues.ue_id[bad[0]]} has a non-finite {name}: {column[bad[0]]}")
+    order = np.argsort(ues.beam_id, kind="stable")
+    beam_ids = ues.beam_id[order]
+    starts = np.flatnonzero(np.concatenate(([True], beam_ids[1:] != beam_ids[:-1])))
+    slants, elevations = ues.slant_range_km[order], ues.elevation_deg[order]
+    return _beam_stats(beam_ids[starts].tolist(), starts, slants, elevations, layout, bins)
 
 
 def _check_bins(bins: int) -> None:
     """The bin count check of :func:`beam_stats`, kept apart so that
     ``run()`` can make it before it writes anything."""
+    _check_integer("bins", bins)
     if bins < 1:
         raise ValueError(f"bins must be at least 1, got {bins}")
 
 
 def _beam_stats(
-    ue_ids: np.ndarray,
-    beam_ids: np.ndarray,
+    group_ids: list[int],
+    starts: np.ndarray,
     slants: np.ndarray,
     elevations: np.ndarray,
     layout: BeamLayout,
     bins: int,
 ) -> list[BeamStats]:
-    """:func:`beam_stats` on the four columns it reads; the caller has
-    checked ``bins``."""
-    n = len(slants)
-    if not n:
-        raise ValueError("no UE records to aggregate")
+    """:func:`beam_stats` on UEs grouped by beam: group ``i``, of beam
+    ``group_ids[i]``, is the rows from ``starts[i]`` to the next start.  The
+    caller has checked the input.  A group is a contiguous slice, so its
+    mean has the bits of the beam's own array."""
     roles = {beam.id: beam.role for beam in layout.beams}
-    for name, column in (("slant range", slants), ("elevation", elevations)):
-        bad = np.flatnonzero(~np.isfinite(column))
-        if len(bad):
-            raise ValueError(f"UE {ue_ids[bad[0]]} has a non-finite {name}: {column[bad[0]]}")
-    lo = float(slants.min())
-    hi = float(slants.max())
-
-    # Group the UEs by beam, each beam's UEs in input order, so a group is
-    # the same contiguous array the beam's own list would give (its
-    # pairwise-summed mean has the same bits).  Input already in beam order,
-    # as drop_ues emits it, needs no sort: a stable sort of it is the identity.
-    if np.any(beam_ids[1:] < beam_ids[:-1]):
-        order = np.argsort(beam_ids, kind="stable")
-        beam_ids = beam_ids[order]
-        slants = slants[order]
-        elevations = elevations[order]
-    else:
-        # Contiguous, like the sorted copies, so each mean sums alike.
-        slants = np.ascontiguousarray(slants)
-    starts = np.flatnonzero(np.concatenate(([True], beam_ids[1:] != beam_ids[:-1])))
-    ends = np.append(starts[1:], n)
-    group_ids = beam_ids[starts].tolist()
     unknown = [beam_id for beam_id in group_ids if beam_id not in roles]
     if unknown:
         raise ValueError(f"UE beam id {unknown[0]} is not in the layout")
+    n = len(slants)
+    ends = np.append(starts[1:], n)
+    lo = float(slants.min())
+    hi = float(slants.max())
 
     if hi <= lo:
         bin_lo, bin_hi = [lo], [hi]
@@ -233,6 +227,7 @@ def _histograms(counts: np.ndarray, bin_lo: list[float], bin_hi: list[float]) ->
 def _check_samples_per_edge(samples_per_edge: int) -> None:
     """The edge sample check of :func:`project_footprints`, kept apart so
     that ``run()`` can make it before it writes anything."""
+    _check_integer("samples_per_edge", samples_per_edge)
     if samples_per_edge < 1:
         raise ValueError(f"samples_per_edge must be at least 1, got {samples_per_edge}")
 
@@ -247,24 +242,16 @@ def project_footprints(
     curvature bends the far-side footprints.
     """
     _check_samples_per_edge(samples_per_edge)
-    beams = layout.beams
-    points = 6 * samples_per_edge + 1
-    out = np.empty((3, len(beams), points))
+    # Corners a and b of every edge, shape (beams, 6, 1, 2); each boundary
+    # point is a + t * (b - a) with t = j / samples_per_edge.
+    a = np.array([[(p.u, p.v) for p in beam.vertices_uv] for beam in layout.beams])[:, :, None]
+    b = np.roll(a, -1, axis=1)
     t = (np.arange(samples_per_edge) / samples_per_edge)[:, None]
-    # About _CHUNK points per step, so the boundary points and their
-    # temporaries exist for one step of beams at a time.
-    step = max(1, _CHUNK // points)
-    for start in range(0, len(beams), step):
-        # Corners a and b of every edge, shape (beams, 6, 1, 2); each
-        # boundary point is a + t * (b - a) with t = j / samples_per_edge.
-        a = np.array([[(p.u, p.v) for p in beam.vertices_uv] for beam in beams[start : start + step]])[:, :, None]
-        b = np.roll(a, -1, axis=1)
-        uv = (a + t * (b - a)).reshape(len(a), -1, 2)
-        uv = np.concatenate([uv, uv[:, :1]], axis=1)
-        xyz = _project_columns(uv[..., 0].ravel(), uv[..., 1].ravel(), sat, lambda *los: los[6:])
-        out[:, start : start + step] = xyz.reshape(3, len(a), points)
-    beam_ids = np.array([beam.id for beam in beams], np.int64)
-    return FootprintTable(beam_ids, *out)
+    uv = (a + t * (b - a)).reshape(len(a), -1, 2)
+    uv = np.concatenate([uv, uv[:, :1]], axis=1)
+    xyz = _project_columns(uv[..., 0].ravel(), uv[..., 1].ravel(), sat, lambda *los: los[6:])
+    beam_ids = np.array([beam.id for beam in layout.beams], np.int64)
+    return FootprintTable(beam_ids, *xyz.reshape(3, len(a), uv.shape[1]))
 
 
 def footprint_area_km2(footprint: Footprint) -> float:

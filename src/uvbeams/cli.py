@@ -135,7 +135,7 @@ def _stats_json(stats: list[BeamStats], bins: int, ue_count: int) -> Iterator[st
     The text is byte-identical to ``json.dump(doc, f, indent=2)`` followed by
     a newline, where ``doc`` holds the bin count, the global UE count and
     slant extrema, and one object per beam with its histogram as
-    ``[lo, hi, count]`` lists.  Each distinct sequence of bin bounds is
+    ``[lo, hi, count]`` lists.  The bin grid, shared by every beam, is
     rendered once; a beam's histogram is then one format call.
     """
     yield _STATS_HEAD % (
@@ -144,16 +144,12 @@ def _stats_json(stats: list[BeamStats], bins: int, ue_count: int) -> Iterator[st
         min(s.min_slant_km for s in stats),
         max(s.max_slant_km for s in stats),
     )
-    # Histogram text per distinct bin-bound sequence, with a %d per count.
-    templates: dict[tuple, str] = {}
+    # beam_stats puts every beam on one bin grid: its text, with a %d per
+    # count, is rendered once.
+    template = ",\n".join(_STATS_BIN % (lo, hi) for lo, hi, _ in stats[0].histogram)
     separator = ""
     for s in stats:
-        los, his, counts = zip(*s.histogram)
-        template = templates.get((los, his))
-        if template is None:
-            template = templates[(los, his)] = ",\n".join(
-                _STATS_BIN % bounds for bounds in zip(los, his)
-            )
+        _, _, counts = zip(*s.histogram)
         yield separator + _STATS_BEAM % (
             s.beam_id,
             s.role.value,
@@ -256,11 +252,10 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
     slants, elevations = np.empty((2, len(layout) * n))
     _write(out_dir / "ues.csv", _ues_csv(layout, sat, n, config.seed, slants, elevations))
     _write(out_dir / "footprints.csv", _footprints_csv(layout, sat, edge_samples))
-    # UE ids are beam_id * n + k, as drop_ues numbers them.
-    beam_ids = np.array([beam.id for beam in layout.beams], np.int64)
-    ue_ids = np.add.outer(beam_ids * n, np.arange(n)).ravel()
-    stats = _beam_stats(ue_ids, beam_ids.repeat(n), slants, elevations, layout, bins)
-    del ue_ids, slants, elevations  # not needed to format stats.json
+    # drop_ues emits each beam's n UEs together, in layout order.
+    group_ids = [beam.id for beam in layout.beams]
+    stats = _beam_stats(group_ids, np.arange(0, len(slants), n), slants, elevations, layout, bins)
+    del slants, elevations  # not needed to format stats.json
     _write(out_dir / "stats.json", _stats_json(stats, bins, len(layout) * n))
 
     manifest = RunManifest(

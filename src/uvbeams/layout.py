@@ -81,8 +81,7 @@ class ScenarioConfig:
             value = getattr(self, name)
             if name == "rings" and value is None:
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, value)
             # NumPy integers become Python ints, which the JSON manifest holds.
             object.__setattr__(self, name, int(value))
         # The range checks of the physical inputs belong to the code that
@@ -196,7 +195,15 @@ def hex_grid(rings: int) -> list[HexIndex]:
     return list(_hex_cells(rings))
 
 
+def _check_integer(name: str, value: int) -> None:
+    """The one rule for counts and seeds: a Python or NumPy integer, not a
+    bool, else :class:`ValueError` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_rings(rings: int) -> None:
+    _check_integer("rings", rings)
     if rings < 0:
         raise ValueError(f"ring count must be non-negative, got {rings}")
 
@@ -204,6 +211,7 @@ def _check_rings(rings: int) -> None:
 def _check_ues_per_beam(ues_per_beam: int) -> None:
     """The UE count check of :func:`~uvbeams.deployment.drop_ues`, kept here
     so that :class:`ScenarioConfig` can call it."""
+    _check_integer("ues_per_beam", ues_per_beam)
     if ues_per_beam < 1:
         raise ValueError(f"ues_per_beam must be at least 1, got {ues_per_beam}")
 

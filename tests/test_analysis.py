@@ -122,6 +122,12 @@ class TestBeamStats:
         with pytest.raises(ValueError):
             beam_stats(ues, frf1_layout, bins=0)
 
+    @pytest.mark.parametrize("bins", [2.5, 2.0, True, math.nan])
+    def test_non_integer_bins_rejected(self, frf1_layout, leo_sat, bins):
+        ues = drop_ues(frf1_layout, leo_sat, 1, seed=0)
+        with pytest.raises(ValueError, match="bins must be an integer"):
+            beam_stats(ues, frf1_layout, bins=bins)
+
 
     def test_table_records_and_generator_agree(self, frf3_layout, dense_frf3_ues):
         expected = beam_stats(dense_frf3_ues, frf3_layout, bins=20)
@@ -217,6 +223,11 @@ class TestFootprints:
     def test_bad_samples_rejected(self, leo_sat, frf1_layout):
         with pytest.raises(ValueError):
             project_footprints(frf1_layout, leo_sat, samples_per_edge=0)
+
+    @pytest.mark.parametrize("samples", [2.5, 2.0, True, math.nan])
+    def test_non_integer_samples_rejected(self, leo_sat, frf1_layout, samples):
+        with pytest.raises(ValueError, match="samples_per_edge must be an integer"):
+            project_footprints(frf1_layout, leo_sat, samples_per_edge=samples)
 
 
 class TestScenarioSummary:

@@ -362,6 +362,15 @@ class TestMain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, float("nan")])
+    @pytest.mark.parametrize("option,name", [("bins", "bins"), ("edge_samples", "samples_per_edge")])
+    def test_non_integer_count_rejected_before_any_file(self, tmp_path, option, name, value):
+        out = tmp_path / "o"
+        config = dataclasses.replace(GOLDEN_CONFIGS["odd"], rings=1)
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            run(config, out, **{option: value})
+        assert not out.exists()
+
     def test_first_fault_met_is_reported(self, tmp_path, capsys):
         # The layout is built before the statistics, so the horizon fault
         # wins over a bad bin count.

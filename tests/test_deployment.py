@@ -160,6 +160,11 @@ class TestDropUes:
         with pytest.raises(ValueError):
             drop_ues(frf1_layout, leo_sat, 0, seed=0)
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, math.nan])
+    def test_non_integer_ue_count(self, leo_sat, frf1_layout, count):
+        with pytest.raises(ValueError, match="ues_per_beam must be an integer"):
+            drop_ues(frf1_layout, leo_sat, count, seed=0)
+
 
 class TestUeTable:
     @pytest.fixture(scope="class")

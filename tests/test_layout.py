@@ -124,6 +124,11 @@ class TestHexGrid:
         with pytest.raises(ValueError):
             hex_grid(-1)
 
+    @pytest.mark.parametrize("rings", [2.5, 2.0, True, math.nan])
+    def test_non_integer_rings(self, rings):
+        with pytest.raises(ValueError, match="rings must be an integer"):
+            hex_grid(rings)
+
 
 class TestFrfColor:
     def test_frf1_single_color(self):

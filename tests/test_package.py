@@ -1,6 +1,11 @@
-"""Package surface: one list of public names, owned by the modules."""
+"""Package surface: one list of public names, owned by the modules, and
+one statement of the version."""
 
 from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
 
 import uvbeams
 from uvbeams import analysis, cli, deployment, layout, projection
@@ -70,3 +75,13 @@ def test_every_name_resolves_to_its_module_object():
 def test_no_earlier_name_is_dropped():
     assert len(EXPORTED_BEFORE) == 40
     assert set(EXPORTED_BEFORE) <= set(uvbeams.__all__)
+
+
+def test_version_is_stated_once():
+    # The package metadata takes its version from uvbeams.__version__.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "uvbeams.__version__"}

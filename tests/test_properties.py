@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from test_golden import CONFIGS  # noqa: E402
 from uvbeams import (  # noqa: E402
     GroundPoint,
+    HorizonError,
     SatelliteState,
     ScenarioConfig,
     UeTable,
@@ -30,6 +31,7 @@ from uvbeams import (  # noqa: E402
     sample_point_in_hexagon,
     uv_to_earth,
 )
+from uvbeams.projection import _project_columns  # noqa: E402
 
 deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -90,6 +92,45 @@ def test_earth_to_uv_inverts_uv_to_earth_inside_the_horizon(sat, fraction, angle
     p = uv_at(sat, fraction, angle)
     q = earth_to_uv(uv_to_earth(p, sat), sat)
     assert math.hypot(q.u - p.u, q.v - p.v) <= 1e-12
+
+
+@deterministic
+@given(sat=satellites, radii=st.lists(fractions, min_size=2, max_size=64), angle=angles)
+def test_column_kernel_is_finite_and_slant_rises_with_uv_radius(sat, radii, angle):
+    # Why run() needs no finiteness pass over the columns the kernel makes:
+    # inside the horizon every output is finite, and the slant range, the
+    # histogrammed value, grows with the UV radius.  It is the difference of
+    # two terms about the orbit radius in size, so near nadir, where it is
+    # flat, it may fall by an ulp of that radius.
+    points = [uv_at(sat, fraction, angle) for fraction in radii]
+    u = np.array([p.u for p in points])
+    v = np.array([p.v for p in points])
+    outputs = _project_columns(u, v, sat, lambda *los: los)
+    assert np.isfinite(outputs).all()
+    d_uv, slant = outputs[0], outputs[5]
+    order = np.argsort(d_uv, kind="stable")
+    assert (np.diff(slant[order]) >= -np.spacing(sat.orbit_radius_km)).all()
+
+
+@deterministic
+@given(
+    beamwidth=st.floats(0.05, 30.0),
+    altitude=st.floats(300.0, 40000.0),
+    elevation=st.floats(1.0, 90.0),
+    rings=st.integers(0, 7),
+)
+def test_built_layouts_stay_inside_the_horizon(beamwidth, altitude, elevation, rings):
+    config = ScenarioConfig(
+        beamwidth_3db_deg=beamwidth, altitude_km=altitude, center_elevation_deg=elevation, rings=rings
+    )
+    try:
+        layout = build_layout(config)
+    except HorizonError:
+        return
+    limit = horizon_limit(config.satellite())
+    for beam in layout:
+        assert beam.center_uv.norm() + layout.beam_radius <= limit
+        assert all(vertex.norm() <= limit for vertex in beam.vertices_uv)
 
 
 @deterministic

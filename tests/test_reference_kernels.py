@@ -401,9 +401,10 @@ def test_footprints_match_per_point_reference(name, samples_per_edge):
 
 @pytest.mark.parametrize("samples_per_edge", [1, 8, 341, 342])
 def test_footprints_match_reference_at_chunk_boundaries(samples_per_edge):
-    # 7, 49, 2047 and 2053 points per beam: the projection steps through
-    # max(1, _CHUNK // points) beams at a time, and the 61 beams are not a
-    # multiple of that step for 7 or 49 points.
+    # 7, 49, 2047 and 2053 points per beam.  The kernel projects _CHUNK
+    # points at a time, so for 49, 2047 and 2053 a kernel chunk ends inside
+    # a beam.  run() hands the projection max(1, _CHUNK // points) beams at
+    # a time, and the 61 beams are not a multiple of that step for 7 or 49.
     config = CONFIGS["odd"]
     layout = build_layout(config)
     sat = config.satellite()
