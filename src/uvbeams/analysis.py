@@ -148,7 +148,8 @@ def _beam_stats(
     """:func:`beam_stats` on UEs grouped by beam: group ``i``, of beam
     ``group_ids[i]``, is the rows from ``starts[i]`` to the next start.  The
     caller has checked the input.  A group is a contiguous slice, so its
-    mean has the bits of the beam's own array."""
+    mean has the bits of the beam's own array: ``ndarray.mean`` is the same
+    pairwise sum followed by one division."""
     roles = {beam.id: beam.role for beam in layout.beams}
     unknown = [beam_id for beam_id in group_ids if beam_id not in roles]
     if unknown:
@@ -192,7 +193,7 @@ def _beam_stats(
             ue_count=end - start,
             min_slant_km=min_slant,
             max_slant_km=max_slant,
-            mean_slant_km=float(slants[start:end].mean()),
+            mean_slant_km=float(slants[start:end].sum()) / (end - start),
             min_elevation_deg=min_elev,
             max_elevation_deg=max_elev,
             histogram=histogram,
@@ -240,6 +241,10 @@ def project_footprints(
     Each hexagon edge is sampled ``samples_per_edge`` times (starting at its
     first corner) before projection, which is enough to show how the Earth's
     curvature bends the far-side footprints.
+
+    The boundary points of every beam are built at once, so a call on a
+    whole layout peaks at about 2.5 times the memory of its result.
+    ``run()`` calls it one chunk of beams at a time (``cli._beam_chunks``).
     """
     _check_samples_per_edge(samples_per_edge)
     # Corners a and b of every edge, shape (beams, 6, 1, 2); each boundary

@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 configuration error, 2 horizon/geometry error,
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -57,6 +59,8 @@ FOOTPRINTS_CSV_HEADER = "beam_id,vertex_idx,x_km,y_km,z_km"
 _BEAMS_ROW = "%d,%d,%d,%.9g,%.9g,%d,%s\n"
 _UES_ROW = "%d,%d" + ",%.9g" * 9 + "\n"
 _FOOTPRINTS_ROW = "%d,%d,%.9g,%.9g,%.9g\n"
+# CSV lines per string handed to the file: fewer, longer writes.
+_ROWS_PER_WRITE = 64
 
 
 @dataclass(frozen=True)
@@ -136,7 +140,8 @@ def _stats_json(stats: list[BeamStats], bins: int, ue_count: int) -> Iterator[st
     a newline, where ``doc`` holds the bin count, the global UE count and
     slant extrema, and one object per beam with its histogram as
     ``[lo, hi, count]`` lists.  The bin grid, shared by every beam, is
-    rendered once; a beam's histogram is then one format call.
+    rendered once, and so is each distinct histogram object: beams with equal
+    histograms share one (see ``analysis._histograms``).
     """
     yield _STATS_HEAD % (
         bins,
@@ -147,9 +152,20 @@ def _stats_json(stats: list[BeamStats], bins: int, ue_count: int) -> Iterator[st
     # beam_stats puts every beam on one bin grid: its text, with a %d per
     # count, is rendered once.
     template = ",\n".join(_STATS_BIN % (lo, hi) for lo, hi, _ in stats[0].histogram)
+    # The text of a histogram that later beams share is kept, by id, until
+    # its last use; ``stats`` keeps every histogram alive meanwhile.
+    uses_left = collections.Counter(id(s.histogram) for s in stats)
+    rendered: dict[int, str] = {}
     separator = ""
     for s in stats:
-        _, _, counts = zip(*s.histogram)
+        key = id(s.histogram)
+        histogram = rendered.pop(key, None)
+        if histogram is None:
+            _, _, counts = zip(*s.histogram)
+            histogram = template % counts
+        uses_left[key] -= 1
+        if uses_left[key]:
+            rendered[key] = histogram
         yield separator + _STATS_BEAM % (
             s.beam_id,
             s.role.value,
@@ -159,7 +175,7 @@ def _stats_json(stats: list[BeamStats], bins: int, ue_count: int) -> Iterator[st
             s.mean_slant_km,
             s.min_elevation_deg,
             s.max_elevation_deg,
-            template % counts,
+            histogram,
         )
         separator = ",\n"
     yield _STATS_TAIL
@@ -172,12 +188,15 @@ def _csv(header: str, template: str, *columns: np.ndarray) -> Iterator[str]:
 
 
 def _rows(template: str, *columns: np.ndarray) -> Iterator[str]:
-    """One ``template % row`` line per row of ``columns``, read :data:`_CHUNK`
-    rows at a time; ``+ 0.0`` turns a float -0.0 into 0.0."""
+    """The ``template % row`` lines of the rows of ``columns``, read
+    :data:`_CHUNK` rows at a time and joined :data:`_ROWS_PER_WRITE` lines to
+    a string; ``+ 0.0`` turns a float -0.0 into 0.0."""
     for start in range(0, len(columns[0]), _CHUNK):
-        chunk = (c[start : start + _CHUNK] for c in columns)
+        chunk = [c[start : start + _CHUNK] for c in columns]
         values = ((c + 0.0 if c.dtype.kind == "f" else c).tolist() for c in chunk)
-        yield from map(template.__mod__, zip(*values))
+        rows = zip(*values)
+        for _ in range(0, len(chunk[0]), _ROWS_PER_WRITE):
+            yield "".join(map(template.__mod__, itertools.islice(rows, _ROWS_PER_WRITE)))
 
 
 def _beam_chunks(layout: BeamLayout, per_beam: int) -> Iterator[tuple[int, BeamLayout]]:

@@ -2,7 +2,8 @@
 
 Every beam gets its own PCG64 stream spawned from the run seed and the beam
 id, so the drop is reproducible bit-for-bit no matter how beams are iterated
-or parallelised.
+or parallelised.  The streams of a whole chunk of beams are derived at once
+by :func:`_stream_states`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .layout import _CORNER_UNIT, BeamLayout, _check_ues_per_beam
-from .projection import _CHUNK, GroundPoint, SatelliteState, UvPoint, _each, _project_columns
+from .layout import _CORNER_UNIT, BeamLayout, _check_integer, _check_seed, _check_ues_per_beam
+from .projection import _CHUNK, GroundPoint, SatelliteState, UvPoint, _project_columns
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -28,6 +29,14 @@ __all__ = [
 
 RNG_ALGORITHM = "PCG64"
 RNG_STREAM_RULE = "SeedSequence(seed, spawn_key=(beam_id,))"
+
+# NumPy's SeedSequence constants (numpy/random/bit_generator.pyx) and the
+# 128-bit PCG multiplier that PCG64 seeds with.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,8 +104,76 @@ class UeTable:
 
 def beam_rng(seed: int, beam_id: int) -> np.random.Generator:
     """Independent generator for one beam: PCG64 seeded by the documented
-    stream rule, see :data:`RNG_STREAM_RULE`."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(beam_id,))))
+    stream rule, see :data:`RNG_STREAM_RULE`.  ``seed`` must be an unsigned
+    64-bit integer and ``beam_id`` an integer in ``[0, 2**32)``, else
+    :class:`ValueError`."""
+    _check_seed(seed)
+    _check_integer("beam_id", beam_id)
+    if not 0 <= beam_id < 2**32:
+        raise ValueError(f"beam_id must lie in [0, 2**32), got {beam_id}")
+    # The rule's SeedSequence rides along so that ``seed_seq`` and
+    # ``spawn()`` of the generator follow the rule too; the state is the
+    # package's own derivation, the one drop_ues uses.
+    bit_generator = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(beam_id,)))
+    bit_generator.state = next(_stream_states(seed, [beam_id]))
+    return np.random.Generator(bit_generator)
+
+
+def _stream_states(seed: int, beam_ids: list[int]) -> Iterator[dict]:
+    """The ``PCG64.state`` of :data:`RNG_STREAM_RULE` for each beam id, in
+    order.  ``seed`` is an unsigned 64-bit integer and every id lies in
+    ``[0, 2**32)``, so it is one spawn-key word.
+
+    This is NumPy's ``SeedSequence(seed, spawn_key=(beam_id,))`` followed by
+    ``generate_state(4, np.uint64)``, with every beam's 32-bit words in one
+    ``uint32`` column, and then PCG64's seeding: two steps of its 128-bit LCG.
+    The entropy words are the seed's two 32-bit words, zero-padded to the
+    pool size of 4, then the beam id.  The tests pin it against NumPy.
+    """
+    seed = int(seed)
+    ids = np.array(beam_ids, np.uint32)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> 16
+
+    # SeedSequence.mix_entropy: the pool takes the first four words, is mixed
+    # with itself, then takes the fifth word, the id.
+    pool = [hashmix(np.full_like(ids, word)) for word in (seed & _MASK32, seed >> 32, 0, 0)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_dst in range(4):
+        pool[i_dst] = mix(pool[i_dst], hashmix(ids))
+    # SeedSequence.generate_state: eight 32-bit words, read in little-endian
+    # pairs as the 64-bit words (state_hi, state_lo, inc_hi, inc_lo).
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        words.append((value ^ value >> 16).astype(np.uint64))
+    state = [(lo | hi << 32).tolist() for lo, hi in zip(words[::2], words[1::2])]
+    # pcg_setseq_128_srandom_r: from state 0, step, add the seed state, step.
+    for state_hi, state_lo, inc_hi, inc_lo in zip(*state):
+        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
+        initstate = state_hi << 64 | state_lo
+        yield {
+            "bit_generator": "PCG64",
+            "state": {"state": ((inc + initstate) * _PCG64_MULT + inc) & _MASK128, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
 
 def sample_point_in_hexagon(
@@ -140,24 +217,31 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
     """Drop ``ues_per_beam`` uniform UEs in every beam and project them.
 
     UE ids are ``beam_id * ues_per_beam + k`` so they are stable under any
-    iteration order.  A :class:`~uvbeams.projection.HorizonError` from the
-    projection would indicate a layout built past the horizon guard and is
-    propagated as-is.
+    iteration order.  ``seed`` must be an unsigned 64-bit integer, else
+    :class:`ValueError` before any draw.  A
+    :class:`~uvbeams.projection.HorizonError` from the projection would
+    indicate a layout built past the horizon guard and is propagated as-is.
     """
     _check_ues_per_beam(ues_per_beam)
+    _check_seed(seed)
+    beam_ids = [beam.id for beam in layout.beams]
+    # One bit generator serves every beam: the for target sets it to the
+    # beam's stream, which also clears the buffered 32-bit half word.
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
     draws = (
         sample_point_in_hexagon(beam.center_uv, layout.beam_radius, rng)
-        for beam in layout.beams
-        for rng in [beam_rng(seed, beam.id)]
+        for beam, bit_generator.state in zip(layout.beams, _stream_states(seed, beam_ids))
         for _ in range(ues_per_beam)
     )
     count = len(layout) * ues_per_beam
     u, v = np.fromiter(((p.u, p.v) for p in draws), np.dtype((np.float64, 2)), count).T.copy()
-    degrees = _each(math.degrees)
+    # math.degrees is this one multiply, so the columns keep its bits.
+    to_degrees = 180.0 / math.pi
 
     def ground_and_link(d_uv, omega, zod, aod, alpha, slant, x, y, z):
-        return x, y, z, slant, degrees(alpha), degrees(zod), degrees(aod)
+        return x, y, z, slant, alpha * to_degrees, zod * to_degrees, aod * to_degrees
 
-    beam_ids = np.repeat(np.array([beam.id for beam in layout.beams], np.int64), ues_per_beam)
-    ue_ids = beam_ids * ues_per_beam + np.tile(np.arange(ues_per_beam), len(layout))
-    return UeTable(ue_ids, beam_ids, u, v, *_project_columns(u, v, sat, ground_and_link))
+    beam_id_column = np.repeat(np.array(beam_ids, np.int64), ues_per_beam)
+    ue_ids = beam_id_column * ues_per_beam + np.tile(np.arange(ues_per_beam), len(layout))
+    return UeTable(ue_ids, beam_id_column, u, v, *_project_columns(u, v, sat, ground_and_link))

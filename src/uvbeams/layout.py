@@ -93,8 +93,7 @@ class ScenarioConfig:
             _check_rings(self.rings)
         center_offset(self.center_elevation_deg, self.earth_radius_km, self.altitude_km)
         _check_ues_per_beam(self.ues_per_beam)
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        _check_seed(self.seed)
 
     @property
     def ring_count(self) -> int:
@@ -214,6 +213,15 @@ def _check_ues_per_beam(ues_per_beam: int) -> None:
     _check_integer("ues_per_beam", ues_per_beam)
     if ues_per_beam < 1:
         raise ValueError(f"ues_per_beam must be at least 1, got {ues_per_beam}")
+
+
+def _check_seed(seed: int) -> None:
+    """The seed rule of :class:`ScenarioConfig`,
+    :func:`~uvbeams.deployment.beam_rng` and
+    :func:`~uvbeams.deployment.drop_ues`: an unsigned 64-bit integer."""
+    _check_integer("seed", seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
 
 
 def _hex_cells(rings: int) -> Iterator[HexIndex]:

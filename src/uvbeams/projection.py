@@ -122,6 +122,8 @@ _LIBM = (math.hypot, math.asin, math.atan2, math.acos, math.sin, math.cos)
 # function parameters.  They are the same libm functions as for floats, one
 # element at a time; NumPy does only the exactly rounded operations
 # (+ - * /, sqrt, minimum, comparisons).  So the two paths agree bit for bit.
+# drop_ues turns radians into degrees on columns by the one multiply by
+# 180 / pi that math.degrees makes, so its degrees keep the scalar bits too.
 _COLUMNS = (*map(_each, _LIBM), np.sqrt, np.minimum,
             lambda d_uv, limit: next(iter(d_uv[~(d_uv <= limit)].tolist()), None))
 

@@ -95,6 +95,18 @@ class TestBeamStats:
         assert all([(lo, hi) for lo, hi, _ in s.histogram] == edges for s in stats)
         assert len(edges) == 20
 
+    def test_mean_has_the_bits_of_numpy_mean(self, frf1_layout):
+        # The sizes straddle the block edges of NumPy's pairwise summation.
+        sizes = [1, 7, 8, 9, 127, 128, 129, 200, 1000]
+        rng = np.random.default_rng(11)
+        slants = rng.uniform(ALT, 3000.0, sum(sizes))
+        beam_ids = np.repeat(np.arange(len(sizes)), sizes)
+        zeros = np.zeros(len(slants))
+        ues = UeTable(np.arange(len(slants)), beam_ids, zeros, zeros, zeros, zeros, zeros, slants, zeros + 45.0, zeros, zeros)
+        groups = np.split(slants, np.cumsum(sizes)[:-1])
+        for s, group in zip(beam_stats(ues, frf1_layout), groups, strict=True):
+            assert s.mean_slant_km == float(np.mean(group))
+
     def test_frf1_min_slant_above_altitude(self, leo_sat, frf1_layout):
         # The 70-degree layout is offset from nadir, so no UE reaches the
         # sub-satellite point exactly.

@@ -7,6 +7,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from uvbeams.cli import (
     PRESET_BEAMWIDTH_DEG,
     UES_CSV_HEADER,
     _csv,
+    _stats_json,
     main,
 )
 from uvbeams.projection import _CHUNK
@@ -227,9 +230,26 @@ class TestCsvWriter:
         ints = np.arange(n) - 1
         floats = np.full(n, -0.0)
         floats[1] = -1.5
-        lines = list(_csv("h", "%d,%.9g\n", ints, floats))
-        assert lines[:3] == ["h\n", "-1,0\n", "0,-1.5\n"]
-        assert lines[3:] == ["%d,0\n" % (i - 1) for i in range(2, n)]
+        text = "".join(_csv("h", "%d,%.9g\n", ints, floats))
+        assert text == "h\n-1,0\n0,-1.5\n" + "".join("%d,0\n" % (i - 1) for i in range(2, n))
+
+
+class TestStatsJson:
+    def test_only_shared_histogram_text_is_kept(self, leo_sat, frf3_layout):
+        # With a hundred UEs per beam nearly every beam has a histogram of
+        # its own, and the text of such a histogram must not outlive its
+        # write; the text of a shared one is kept until its last use.
+        ues = uvbeams.drop_ues(frf3_layout, leo_sat, 100, seed=1)
+        stats = uvbeams.beam_stats(ues, frf3_layout, bins=50)
+        shared = sum(uses > 1 for uses in Counter(id(s.histogram) for s in stats).values())
+        assert shared < 10
+        tracemalloc.start()
+        try:
+            longest = max(len(part) for part in _stats_json(stats, 50, len(ues)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (shared + 12) * longest
 
 
 class TestMain:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+import uvbeams.deployment
 from uvbeams import (
     UeRecord,
     UeTable,
@@ -17,6 +20,7 @@ from uvbeams import (
     sample_point_in_hexagon,
     uv_to_earth,
 )
+from uvbeams.deployment import _stream_states
 
 # Upper 0.001 quantile of chi-square with 5 degrees of freedom.
 CHI2_CRIT_5DOF_P001 = 20.515
@@ -102,6 +106,43 @@ class TestBeamRng:
         assert beam_rng(9, 5).random(4).tolist() == beam_rng(9, 5).random(4).tolist()
 
 
+class TestStreamOracle:
+    """The stream rule, derived for many beams at once, against NumPy's own
+    ``SeedSequence`` and ``PCG64`` seeding."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1]
+    IDS = [0, 1, 1260, 2**31, 2**32 - 1]
+
+    @staticmethod
+    def oracle(seed, beam_id):
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(beam_id,))))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("beam_id", IDS)
+    def test_beam_rng_matches_seed_sequence(self, seed, beam_id):
+        got, want = beam_rng(seed, beam_id), self.oracle(seed, beam_id)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.bit_generator.random_raw(16).tolist() == want.bit_generator.random_raw(16).tolist()
+        (child,), (want_child,) = got.spawn(1), want.spawn(1)
+        assert child.bit_generator.state == want_child.bit_generator.state
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_call_for_many_beams(self, seed):
+        ids = self.IDS + list(range(2, 70))
+        states = list(_stream_states(seed, ids))
+        assert states == [self.oracle(seed, beam_id).bit_generator.state for beam_id in ids]
+
+    @pytest.mark.parametrize("seed", [2.5, True, -1, 2**64, "7", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be"):
+            beam_rng(seed, 0)
+
+    @pytest.mark.parametrize("beam_id", [-1, 2**32, 2.5, True])
+    def test_beam_id_outside_one_spawn_word_rejected(self, beam_id):
+        with pytest.raises(ValueError, match="beam_id must"):
+            beam_rng(0, beam_id)
+
+
 class TestDropUes:
     @pytest.mark.parametrize("fixture,expected", [("frf1_layout", 610), ("frf3_layout", 1270)])
     def test_counts(self, request, leo_sat, fixture, expected):
@@ -143,6 +184,33 @@ class TestDropUes:
         ]
         got = [ue.uv for ue in ues if ue.beam_id == beam.id]
         assert got == expected
+
+    @pytest.mark.parametrize("ues_per_beam", [1, 3])
+    def test_sub_layouts_repeat_the_whole_drop(self, leo_sat, frf1_layout, ues_per_beam):
+        # An odd count leaves half of a 64-bit output buffered at the end of
+        # each beam; the next beam's stream must start without it, whatever
+        # beam came before.
+        whole = drop_ues(frf1_layout, leo_sat, ues_per_beam, seed=12)
+        beams = frf1_layout.beams
+        parts = [beams[i : i + 7] for i in range(0, len(beams), 7)] + [beams[::-1], beams[30:31]]
+        for part in parts:
+            ues = drop_ues(dataclasses.replace(frf1_layout, beams=part), leo_sat, ues_per_beam, seed=12)
+            for k, beam in enumerate(part):
+                rows = slice(k * ues_per_beam, (k + 1) * ues_per_beam)
+                own = slice(beam.id * ues_per_beam, (beam.id + 1) * ues_per_beam)
+                assert ues[rows] == whole[own]
+
+    @pytest.mark.parametrize("seed", [2.5, True, -1, 2**64])
+    def test_bad_seed_rejected_before_any_draw(self, leo_sat, frf1_layout, monkeypatch, seed):
+        def no_draw(*args):
+            raise AssertionError("drew a UE")
+
+        monkeypatch.setattr(uvbeams.deployment, "sample_point_in_hexagon", no_draw)
+        with pytest.raises(ValueError, match="seed must be"):
+            drop_ues(frf1_layout, leo_sat, 2, seed)
+
+    def test_numpy_integer_seed(self, leo_sat, frf1_layout):
+        assert drop_ues(frf1_layout, leo_sat, 2, np.uint64(7)) == drop_ues(frf1_layout, leo_sat, 2, 7)
 
     def test_projection_consistency(self, leo_sat, frf1_layout):
         for ue in drop_ues(frf1_layout, leo_sat, 5, seed=6):
