@@ -17,7 +17,7 @@ from .layout import (
     BeamLayout,
     BeamRole,
     ScenarioConfig,
-    _check_integer,
+    _check_count,
     adjacent_beam_spacing,
     beam_radius,
     center_offset,
@@ -113,7 +113,7 @@ def beam_stats(ues: UeTable | Iterable[UeRecord], layout: BeamLayout, bins: int 
     layout, or a slant range or elevation that is not finite, raises
     :class:`ValueError`.
     """
-    _check_bins(bins)
+    _check_count("bins", bins)
     if not isinstance(ues, UeTable):
         ues = UeTable.from_records(ues)
     if not len(ues):
@@ -127,14 +127,6 @@ def beam_stats(ues: UeTable | Iterable[UeRecord], layout: BeamLayout, bins: int 
     starts = np.flatnonzero(np.concatenate(([True], beam_ids[1:] != beam_ids[:-1])))
     slants, elevations = ues.slant_range_km[order], ues.elevation_deg[order]
     return _beam_stats(beam_ids[starts].tolist(), starts, slants, elevations, layout, bins)
-
-
-def _check_bins(bins: int) -> None:
-    """The bin count check of :func:`beam_stats`, kept apart so that
-    ``run()`` can make it before it writes anything."""
-    _check_integer("bins", bins)
-    if bins < 1:
-        raise ValueError(f"bins must be at least 1, got {bins}")
 
 
 def _beam_stats(
@@ -158,23 +150,21 @@ def _beam_stats(
     ends = np.append(starts[1:], n)
     lo = float(slants.min())
     hi = float(slants.max())
-
-    if hi <= lo:
-        bin_lo, bin_hi = [lo], [hi]
-        counts = (ends - starts)[:, None]
-    else:
-        # np.histogram's edge rule: bin i holds edges[i] <= x < edges[i + 1],
-        # and the last bin is closed on the right.  Each UE's cell, group *
-        # bins + bin, is built in one int64 column, its bins _CHUNK UEs at a
-        # time.
-        edges = np.linspace(lo, hi, bins + 1)
-        bin_lo, bin_hi = edges[:-1].tolist(), edges[1:].tolist()
-        cell = np.repeat(np.arange(0, len(starts) * bins, bins), ends - starts)
-        for start in range(0, n, _CHUNK):
-            bin_of_ue = np.searchsorted(edges, slants[start : start + _CHUNK], "right") - 1
-            cell[start : start + _CHUNK] += np.minimum(bin_of_ue, bins - 1, out=bin_of_ue)
-        counts = np.bincount(cell, minlength=len(starts) * bins).reshape(len(starts), bins)
-        del cell
+    # When every slant is equal, linspace gives the one bin [lo, lo].
+    bins = bins if hi > lo else 1
+    # np.histogram's edge rule: bin i holds edges[i] <= x < edges[i + 1], and
+    # the last bin is closed on the right.  Each UE's cell, group * bins +
+    # bin, is built in one int64 column, its bins _CHUNK UEs at a time; the
+    # sorted column's runs are the non-empty cells and their counts.
+    edges = np.linspace(lo, hi, bins + 1)
+    cell = np.repeat(np.arange(0, len(starts) * bins, bins), ends - starts)
+    for start in range(0, n, _CHUNK):
+        bin_of_ue = np.searchsorted(edges, slants[start : start + _CHUNK], "right") - 1
+        cell[start : start + _CHUNK] += np.minimum(bin_of_ue, bins - 1, out=bin_of_ue)
+    cell.sort()
+    runs = np.concatenate(([0], np.flatnonzero(cell[1:] != cell[:-1]) + 1))
+    cells, counts = cell[runs], np.diff(runs, append=n)
+    del cell
 
     columns = zip(
         group_ids,
@@ -184,7 +174,7 @@ def _beam_stats(
         np.maximum.reduceat(slants, starts).tolist(),
         np.minimum.reduceat(elevations, starts).tolist(),
         np.maximum.reduceat(elevations, starts).tolist(),
-        _histograms(counts, bin_lo, bin_hi),
+        _histograms(cells, counts, edges[:-1].tolist(), edges[1:].tolist()),
     )
     return [
         BeamStats(
@@ -202,19 +192,20 @@ def _beam_stats(
     ]
 
 
-def _histograms(counts: np.ndarray, bin_lo: list[float], bin_hi: list[float]) -> Iterator[tuple]:
-    """One ``(lo, hi, count)`` histogram per row of ``counts``, none empty.
+def _histograms(cells: np.ndarray, counts: np.ndarray, bin_lo: list[float], bin_hi: list[float]) -> Iterator[tuple]:
+    """One ``(lo, hi, count)`` histogram per row, from the sorted non-empty
+    cells ``row * bins + bin`` and their counts; every row has at least one.
 
     Every histogram starts from one shared row of empty cells; only the
-    non-empty cells, found row-major by one nonzero pass, get tuples of their
-    own, and rows with equal non-empty cells share one histogram.  Cells and
-    histograms are immutable, so sharing them is safe.
+    non-empty cells get tuples of their own, and rows with equal non-empty
+    cells share one histogram.  Cells and histograms are immutable, so
+    sharing them is safe.
     """
     empty = [(lo, hi, 0) for lo, hi in zip(bin_lo, bin_hi)]
     shared: dict[tuple, tuple] = {}
-    row_of_cell, bin_of_cell = np.nonzero(counts)
-    cells = zip(row_of_cell.tolist(), bin_of_cell.tolist(), counts[row_of_cell, bin_of_cell].tolist())
-    for _, row_cells in itertools.groupby(cells, key=operator.itemgetter(0)):
+    row_of_cell, bin_of_cell = np.divmod(cells, len(bin_lo))
+    entries = zip(row_of_cell.tolist(), bin_of_cell.tolist(), counts.tolist())
+    for _, row_cells in itertools.groupby(entries, key=operator.itemgetter(0)):
         _, js, row_counts = zip(*row_cells)
         histogram = shared.get((js, row_counts))
         if histogram is None:
@@ -223,14 +214,6 @@ def _histograms(counts: np.ndarray, bin_lo: list[float], bin_hi: list[float]) ->
                 row[j] = (bin_lo[j], bin_hi[j], count)
             histogram = shared[js, row_counts] = tuple(row)
         yield histogram
-
-
-def _check_samples_per_edge(samples_per_edge: int) -> None:
-    """The edge sample check of :func:`project_footprints`, kept apart so
-    that ``run()`` can make it before it writes anything."""
-    _check_integer("samples_per_edge", samples_per_edge)
-    if samples_per_edge < 1:
-        raise ValueError(f"samples_per_edge must be at least 1, got {samples_per_edge}")
 
 
 def project_footprints(
@@ -246,7 +229,7 @@ def project_footprints(
     whole layout peaks at about 2.5 times the memory of its result.
     ``run()`` calls it one chunk of beams at a time (``cli._beam_chunks``).
     """
-    _check_samples_per_edge(samples_per_edge)
+    _check_count("samples_per_edge", samples_per_edge)
     # Corners a and b of every edge, shape (beams, 6, 1, 2); each boundary
     # point is a + t * (b - a) with t = j / samples_per_edge.
     a = np.array([[(p.u, p.v) for p in beam.vertices_uv] for beam in layout.beams])[:, :, None]

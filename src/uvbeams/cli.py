@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import collections
 import dataclasses
+import inspect
 import itertools
 import json
 import os
@@ -21,9 +22,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import __version__
-from .analysis import BeamStats, _beam_stats, _check_bins, _check_samples_per_edge, project_footprints
+from .analysis import BeamStats, _beam_stats, project_footprints
 from .deployment import RNG_ALGORITHM, RNG_STREAM_RULE, drop_ues
-from .layout import BeamLayout, BeamRole, ScenarioConfig, build_layout
+from .layout import BeamLayout, BeamRole, ScenarioConfig, _check_count, build_layout
 from .projection import _CHUNK, HorizonError, SatelliteState, horizon_limit
 
 __all__ = [
@@ -255,8 +256,8 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
     fails partway leaves no manifest beside data files it does not describe.
     """
     layout = build_layout(config)
-    _check_bins(bins)
-    _check_samples_per_edge(edge_samples)
+    _check_count("bins", bins)
+    _check_count("samples_per_edge", edge_samples)
     sat = config.satellite()
 
     out_dir = Path(out_dir)
@@ -324,8 +325,12 @@ def _build_parser() -> _Parser:
     parser.add_argument("--rings", type=int, help="hex rings around the centre beam (default 4 for FRF=1, 6 for FRF=3)")
     parser.add_argument("--ues-per-beam", type=int, help="UEs dropped per beam (default 10)")
     parser.add_argument("--seed", type=int, help="RNG seed, unsigned 64-bit (default 0)")
-    parser.add_argument("--bins", type=int, default=50, help="slant-range histogram bins (default 50)")
-    parser.add_argument("--edge-samples", type=int, default=8, help="boundary samples per hexagon edge (default 8)")
+    # run()'s signature is the one home of these two defaults: an unset flag
+    # leaves no attribute, main passes only the flags given, and the help
+    # reads the defaults off the signature.
+    default = {name: p.default for name, p in inspect.signature(run).parameters.items()}
+    parser.add_argument("--bins", type=int, default=argparse.SUPPRESS, help=f"slant-range histogram bins (default {default['bins']})")
+    parser.add_argument("--edge-samples", type=int, default=argparse.SUPPRESS, help=f"boundary samples per hexagon edge (default {default['edge_samples']})")
     parser.add_argument("--out", default="out", help="output directory (default ./out)")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     return parser
@@ -354,7 +359,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-        manifest = run(config, Path(args.out), bins=args.bins, edge_samples=args.edge_samples)
+        counts = {name: value for name, value in vars(args).items() if name in ("bins", "edge_samples")}
+        manifest = run(config, Path(args.out), **counts)
     except (ValueError, OSError) as exc:
         print(f"uvbeams: error: {exc}", file=sys.stderr)
         if isinstance(exc, HorizonError):

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .layout import _CORNER_UNIT, BeamLayout, _check_integer, _check_seed, _check_ues_per_beam
+from .layout import _CORNER_UNIT, BeamLayout, _check_count
 from .projection import _CHUNK, GroundPoint, SatelliteState, UvPoint, _project_columns
 
 __all__ = [
@@ -107,10 +107,8 @@ def beam_rng(seed: int, beam_id: int) -> np.random.Generator:
     stream rule, see :data:`RNG_STREAM_RULE`.  ``seed`` must be an unsigned
     64-bit integer and ``beam_id`` an integer in ``[0, 2**32)``, else
     :class:`ValueError`."""
-    _check_seed(seed)
-    _check_integer("beam_id", beam_id)
-    if not 0 <= beam_id < 2**32:
-        raise ValueError(f"beam_id must lie in [0, 2**32), got {beam_id}")
+    _check_count("seed", seed)
+    _check_count("beam_id", beam_id)
     # The rule's SeedSequence rides along so that ``seed_seq`` and
     # ``spawn()`` of the generator follow the rule too; the state is the
     # package's own derivation, the one drop_ues uses.
@@ -222,8 +220,8 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
     :class:`~uvbeams.projection.HorizonError` from the projection would
     indicate a layout built past the horizon guard and is propagated as-is.
     """
-    _check_ues_per_beam(ues_per_beam)
-    _check_seed(seed)
+    _check_count("ues_per_beam", ues_per_beam)
+    _check_count("seed", seed)
     beam_ids = [beam.id for beam in layout.beams]
     # One bit generator serves every beam: the for target sets it to the
     # beam's stream, which also clears the buffered 32-bit half word.

@@ -77,23 +77,24 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("beamwidth_3db_deg", "altitude_km", "earth_radius_km", "center_elevation_deg"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            # A NumPy scalar or a Fraction becomes a float, which the JSON
+            # manifest holds; a Python int or float is kept as given.
+            if type(value) not in (int, float):
+                object.__setattr__(self, name, float(value))
         for name in ("frf", "rings", "ues_per_beam", "seed"):
             value = getattr(self, name)
-            if name == "rings" and value is None:
-                continue
-            _check_integer(name, value)
-            # NumPy integers become Python ints, which the JSON manifest holds.
-            object.__setattr__(self, name, int(value))
+            if name != "rings" or value is not None:
+                object.__setattr__(self, name, _check_count(name, value))
         # The range checks of the physical inputs belong to the code that
         # uses them; calling it here rejects a bad config at construction.
         self.satellite()
         beam_radius(self.beamwidth_3db_deg)
         frf_color(HexIndex(0, 0), self.frf)
-        if self.rings is not None:
-            _check_rings(self.rings)
         center_offset(self.center_elevation_deg, self.earth_radius_km, self.altitude_km)
-        _check_ues_per_beam(self.ues_per_beam)
-        _check_seed(self.seed)
 
     @property
     def ring_count(self) -> int:
@@ -190,38 +191,35 @@ def hex_grid(rings: int) -> list[HexIndex]:
     its +q corner, so ids derived from this order are stable.  The count is
     ``1 + 3 * rings * (rings + 1)``.
     """
-    _check_rings(rings)
-    return list(_hex_cells(rings))
+    return list(_hex_cells(_check_count("rings", rings)))
 
 
-def _check_integer(name: str, value: int) -> None:
-    """The one rule for counts and seeds: a Python or NumPy integer, not a
-    bool, else :class:`ValueError` naming ``name``."""
+# The one range table of the count rule: least value and exclusive bound.
+# frf has no range here; frf_color owns its values, 1 and 3.
+_COUNT_RANGE = {
+    "frf": (-math.inf, math.inf),
+    "rings": (0, math.inf),
+    "ues_per_beam": (1, math.inf),
+    "bins": (1, math.inf),
+    "samples_per_edge": (1, math.inf),
+    "seed": (0, 2**64),
+    "beam_id": (0, 2**32),
+}
+
+
+def _check_count(name: str, value: int) -> int:
+    """The one rule for counts, seeds and beam ids: a Python or NumPy
+    integer, not a bool, inside ``name``'s range in :data:`_COUNT_RANGE`,
+    else :class:`ValueError` naming ``name``.  Returns the value as a Python
+    int; a name missing from the table raises :class:`KeyError`."""
+    least, bound = _COUNT_RANGE[name]
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_rings(rings: int) -> None:
-    _check_integer("rings", rings)
-    if rings < 0:
-        raise ValueError(f"ring count must be non-negative, got {rings}")
-
-
-def _check_ues_per_beam(ues_per_beam: int) -> None:
-    """The UE count check of :func:`~uvbeams.deployment.drop_ues`, kept here
-    so that :class:`ScenarioConfig` can call it."""
-    _check_integer("ues_per_beam", ues_per_beam)
-    if ues_per_beam < 1:
-        raise ValueError(f"ues_per_beam must be at least 1, got {ues_per_beam}")
-
-
-def _check_seed(seed: int) -> None:
-    """The seed rule of :class:`ScenarioConfig`,
-    :func:`~uvbeams.deployment.beam_rng` and
-    :func:`~uvbeams.deployment.drop_ues`: an unsigned 64-bit integer."""
-    _check_integer("seed", seed)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    value = int(value)
+    if not least <= value < bound:
+        below = "" if bound == math.inf else f" and below 2**{bound.bit_length() - 1}"
+        raise ValueError(f"{name} must be at least {least}{below}, got {value}")
+    return value
 
 
 def _hex_cells(rings: int) -> Iterator[HexIndex]:

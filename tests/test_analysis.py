@@ -23,6 +23,8 @@ from uvbeams import (
     build_layout,
     drop_ues,
     footprint_area_km2,
+    hexagon_contains,
+    los_geometry,
     preset,
     project_footprints,
     scenario_summary,
@@ -184,6 +186,38 @@ class TestBeamStats:
         stats = beam_stats(ues, layout, bins=50)
         distinct = {s.histogram for s in stats}
         assert len({id(s.histogram) for s in stats}) == len(distinct) <= 50
+
+
+def nearest_to_nadir(beam, radius):
+    """The point of a beam's closed hexagon nearest nadir: nadir itself when
+    the hexagon holds it, else the nearest point of its nearest edge."""
+    if hexagon_contains(beam.center_uv, radius, UvPoint(0.0, 0.0)):
+        return UvPoint(0.0, 0.0)
+    candidates = []
+    corners = beam.vertices_uv
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        du, dv = b.u - a.u, b.v - a.v
+        t = min(1.0, max(0.0, -(a.u * du + a.v * dv) / (du * du + dv * dv)))
+        candidates.append(UvPoint(a.u + t * du, a.v + t * dv))
+    return min(candidates, key=UvPoint.norm)
+
+
+class TestSlantEnvelope:
+    # Slant range rises with UV radius, so each beam's sampled slants lie
+    # between the slant at its point nearest nadir and at its farthest vertex.
+    NADIR_CENTRED = ScenarioConfig(
+        beamwidth_3db_deg=4.4127, altitude_km=ALT, rings=2, center_elevation_deg=90.0, ues_per_beam=200, seed=5
+    )
+
+    @pytest.mark.parametrize("config", [CONFIGS["dense"], CONFIGS["wide"], NADIR_CENTRED], ids=["dense", "wide", "nadir_centred"])
+    def test_sampled_slants_inside_envelope(self, config):
+        layout = build_layout(config)
+        sat = config.satellite()
+        ues = drop_ues(layout, sat, config.ues_per_beam, config.seed)
+        for beam, stats in zip(layout.beams, beam_stats(ues, layout), strict=True):
+            near = los_geometry(nearest_to_nadir(beam, layout.beam_radius), sat).slant_range_km
+            far = max(los_geometry(p, sat).slant_range_km for p in beam.vertices_uv)
+            assert near <= stats.min_slant_km <= stats.max_slant_km <= far, beam.id
 
 
 class TestFootprints:

@@ -26,6 +26,7 @@ from uvbeams.cli import (
     OUTPUT_FILES,
     PRESET_BEAMWIDTH_DEG,
     UES_CSV_HEADER,
+    _build_parser,
     _csv,
     _stats_json,
     main,
@@ -175,6 +176,21 @@ class TestRun:
         run(config(3, 1, 3, 2**63 + 1), tmp_path / "b")
         for name in OUTPUT_FILES:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_numpy_float_config_writes_a_manifest(self, tmp_path):
+        # Other reals are stored as floats, so the JSON manifest holds them.
+        cfg = ScenarioConfig(
+            beamwidth_3db_deg=np.float32(4.4127), altitude_km=np.int64(1200), rings=1, ues_per_beam=2
+        )
+        run(cfg, tmp_path)
+        echo = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert echo["beamwidth_3db_deg"] == float(np.float32(4.4127))
+        assert echo["altitude_km"] == 1200.0 and type(echo["altitude_km"]) is float
+
+    def test_python_int_altitude_echoed_as_int(self, tmp_path):
+        cfg = ScenarioConfig(beamwidth_3db_deg=4.4127, altitude_km=1200, rings=1, ues_per_beam=2)
+        run(cfg, tmp_path)
+        assert '"altitude_km": 1200,' in (tmp_path / "manifest.json").read_text()
 
     def test_manifest_config_reproduces_run(self, tmp_path):
         # The manifest's config echo must be sufficient to reproduce every
@@ -390,6 +406,22 @@ class TestMain:
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
             run(config, out, **{option: value})
         assert not out.exists()
+
+    def test_unset_counts_leave_run_defaults(self, tmp_path, monkeypatch):
+        # run()'s signature is the one home of the bins and edge-sample
+        # defaults: the parser records no value, and main passes none.
+        args = _build_parser().parse_args([])
+        assert not hasattr(args, "bins") and not hasattr(args, "edge_samples")
+        passed = []
+
+        def fake_run(config, out_dir, bins="unset", edge_samples="unset"):
+            passed.append((bins, edge_samples))
+            raise OSError("not run")
+
+        monkeypatch.setattr(uvbeams.cli, "run", fake_run)
+        assert main(["--preset", "set1:leo_s", "--out", str(tmp_path)]) == 3
+        assert main(["--preset", "set1:leo_s", "--bins", "7", "--out", str(tmp_path)]) == 3
+        assert passed == [("unset", "unset"), (7, "unset")]
 
     def test_first_fault_met_is_reported(self, tmp_path, capsys):
         # The layout is built before the statistics, so the horizon fault

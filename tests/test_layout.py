@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,17 @@ from uvbeams import (
 )
 from uvbeams import layout as layout_module
 from uvbeams.layout import SQRT3, BeamRole
+
+# The count rule's ranges: least value and exclusive bound (None: no bound).
+COUNT_RANGES = [
+    ("rings", 0, None),
+    ("ues_per_beam", 1, None),
+    ("bins", 1, None),
+    ("samples_per_edge", 1, None),
+    ("seed", 0, 2**64),
+    ("beam_id", 0, 2**32),
+]
+FLOAT_FIELDS = ("beamwidth_3db_deg", "altitude_km", "earth_radius_km", "center_elevation_deg")
 
 # TR 38.821 parameter sets: (beamwidth deg, spacing rounded to 4 decimals).
 TABLE_ROWS = [
@@ -130,6 +142,34 @@ class TestHexGrid:
             hex_grid(rings)
 
 
+class TestCountRule:
+    @pytest.mark.parametrize("name,least,bound", COUNT_RANGES)
+    def test_range_ends_accepted(self, name, least, bound):
+        for value in [least] if bound is None else [least, bound - 1]:
+            checked = layout_module._check_count(name, value)
+            assert checked == value and type(checked) is int
+
+    @pytest.mark.parametrize("name,least,bound", COUNT_RANGES)
+    def test_values_outside_range_rejected(self, name, least, bound):
+        for value in [least - 1] if bound is None else [least - 1, bound]:
+            with pytest.raises(ValueError, match=f"{name} must be at least {least}"):
+                layout_module._check_count(name, value)
+
+    @pytest.mark.parametrize("name,least,bound", COUNT_RANGES)
+    @pytest.mark.parametrize("value", [True, 2.0])
+    def test_non_integers_rejected(self, name, least, bound, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            layout_module._check_count(name, value)
+
+    def test_numpy_integer_becomes_int(self):
+        checked = layout_module._check_count("seed", np.uint64(2**64 - 1))
+        assert checked == 2**64 - 1 and type(checked) is int
+
+    def test_unknown_name_is_not_skipped(self):
+        with pytest.raises(KeyError):
+            layout_module._check_count("ues_per_bean", 0)
+
+
 class TestFrfColor:
     def test_frf1_single_color(self):
         assert frf_color(HexIndex(0, 0), 1) == 0
@@ -216,6 +256,30 @@ class TestScenarioConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             ScenarioConfig(**base)
+
+    @pytest.mark.parametrize("value", [True, "4.4", None, 1j])
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    def test_float_field_must_be_real(self, field, value):
+        base = dict(beamwidth_3db_deg=4.4127, altitude_km=1200.0)
+        base[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be a real number, got {value!r}"):
+            ScenarioConfig(**base)
+
+    def test_other_reals_become_floats(self):
+        config = ScenarioConfig(
+            beamwidth_3db_deg=np.float32(4.4127),
+            altitude_km=np.int64(1200),
+            earth_radius_km=Fraction(6371),
+            center_elevation_deg=np.float64(70.0),
+        )
+        assert [type(getattr(config, field)) for field in FLOAT_FIELDS] == [float] * 4
+        assert config.beamwidth_3db_deg == float(np.float32(4.4127))
+        assert (config.altitude_km, config.earth_radius_km) == (1200.0, 6371.0)
+
+    def test_python_numbers_kept_as_given(self):
+        config = ScenarioConfig(beamwidth_3db_deg=4.4127, altitude_km=1200, earth_radius_km=6371)
+        assert type(config.altitude_km) is int and type(config.earth_radius_km) is int
+        assert type(config.beamwidth_3db_deg) is float
 
 
 class TestBuildLayout:
