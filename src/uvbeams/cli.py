@@ -11,7 +11,6 @@ import argparse
 import collections
 import dataclasses
 import inspect
-import itertools
 import json
 import os
 import sys
@@ -182,22 +181,18 @@ def _stats_json(stats: list[BeamStats], bins: int, ue_count: int) -> Iterator[st
     yield _STATS_TAIL
 
 
-def _csv(header: str, template: str, *columns: np.ndarray) -> Iterator[str]:
-    """``header`` and one ``template % row`` line per row of ``columns``."""
+def _csv(header: str, template: str, tables: Iterable[list[np.ndarray]]) -> Iterator[str]:
+    """``header``, then one ``template % row`` line per row of each table in
+    ``tables``, a list of columns, joined :data:`_ROWS_PER_WRITE` lines to a
+    string; ``+ 0.0`` turns a float -0.0 into 0.0.  A table is released
+    before the next one is made."""
     yield header + "\n"
-    yield from _rows(template, *columns)
-
-
-def _rows(template: str, *columns: np.ndarray) -> Iterator[str]:
-    """The ``template % row`` lines of the rows of ``columns``, read
-    :data:`_CHUNK` rows at a time and joined :data:`_ROWS_PER_WRITE` lines to
-    a string; ``+ 0.0`` turns a float -0.0 into 0.0."""
-    for start in range(0, len(columns[0]), _CHUNK):
-        chunk = [c[start : start + _CHUNK] for c in columns]
-        values = ((c + 0.0 if c.dtype.kind == "f" else c).tolist() for c in chunk)
-        rows = zip(*values)
-        for _ in range(0, len(chunk[0]), _ROWS_PER_WRITE):
-            yield "".join(map(template.__mod__, itertools.islice(rows, _ROWS_PER_WRITE)))
+    for columns in tables:
+        columns = [c + 0.0 if c.dtype.kind == "f" else c for c in columns]
+        for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
+            rows = zip(*(c[start : start + _ROWS_PER_WRITE].tolist() for c in columns))
+            yield "".join(map(template.__mod__, rows))
+        del columns
 
 
 def _beam_chunks(layout: BeamLayout, per_beam: int) -> Iterator[tuple[int, BeamLayout]]:
@@ -209,39 +204,30 @@ def _beam_chunks(layout: BeamLayout, per_beam: int) -> Iterator[tuple[int, BeamL
         yield start, dataclasses.replace(layout, beams=layout.beams[start : start + step])
 
 
-def _ues_csv(
+def _ue_tables(
     layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: int, slants: np.ndarray, elevations: np.ndarray
-) -> Iterator[str]:
-    """``ues.csv``, dropped and formatted one beam chunk at a time.  Each
-    chunk's slant ranges and elevations are copied into ``slants`` and
-    ``elevations`` as it goes; every beam's draws depend only on the seed
-    and its id, so the rows are those of one whole-layout drop."""
-    yield UES_CSV_HEADER + "\n"
+) -> Iterator[list[np.ndarray]]:
+    """The ``ues.csv`` columns of each beam chunk's drop.  Each chunk's slant
+    ranges and elevations are copied into ``slants`` and ``elevations`` as it
+    goes; every beam's draws depend only on the seed and its id, so the rows
+    are those of one whole-layout drop."""
     for start, chunk in _beam_chunks(layout, ues_per_beam):
         ues = drop_ues(chunk, sat, ues_per_beam, seed)
         rows = slice(start * ues_per_beam, start * ues_per_beam + len(ues))
         slants[rows] = ues.slant_range_km
         elevations[rows] = ues.elevation_deg
-        yield from _rows(_UES_ROW, *ues.columns())
+        yield ues.columns()
+        del ues  # released before the next chunk is dropped
 
 
-def _footprints_csv(layout: BeamLayout, sat: SatelliteState, samples_per_edge: int) -> Iterator[str]:
-    """``footprints.csv``, projected and formatted one chunk of at most
-    :data:`_CHUNK` boundary points (but at least one beam) at a time."""
-    yield FOOTPRINTS_CSV_HEADER + "\n"
-    for _, chunk in _beam_chunks(layout, 6 * samples_per_edge + 1):
-        yield from _rows(_FOOTPRINTS_ROW, *project_footprints(chunk, sat, samples_per_edge).columns())
-
-
-def _write(path: Path, *parts: Iterable[str]) -> None:
-    """Write ``parts``, each an iterable of text chunks, to ``path`` as UTF-8
-    with no newline translation.  The text goes to ``<name>.tmp`` first, which
-    then replaces ``path``; a failed write removes the temporary file."""
+def _write(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to ``path`` as UTF-8 with no newline
+    translation.  The text goes to ``<name>.tmp`` first, which then replaces
+    ``path``; a failed write removes the temporary file."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as f:
-            for part in parts:
-                f.writelines(part)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -264,14 +250,15 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").unlink(missing_ok=True)
 
-    # CSV floats carry 9 significant digits.
-    beams = ((b.id, b.index.q, b.index.r, b.center_uv.u, b.center_uv.v, b.color, b.role.value) for b in layout)
-    _write(out_dir / "beams.csv", _csv(BEAMS_CSV_HEADER, _BEAMS_ROW, *map(np.array, zip(*beams))))
+    # CSV floats carry 9 significant digits; + 0.0 turns -0.0 into 0.0.
+    beams = (_BEAMS_ROW % (b.id, b.index.q, b.index.r, b.center_uv.u + 0.0, b.center_uv.v + 0.0, b.color, b.role.value) for b in layout)
+    _write(out_dir / "beams.csv", (BEAMS_CSV_HEADER + "\n", *beams))
     # The statistics need only each UE's slant range and elevation.
     n = config.ues_per_beam
     slants, elevations = np.empty((2, len(layout) * n))
-    _write(out_dir / "ues.csv", _ues_csv(layout, sat, n, config.seed, slants, elevations))
-    _write(out_dir / "footprints.csv", _footprints_csv(layout, sat, edge_samples))
+    _write(out_dir / "ues.csv", _csv(UES_CSV_HEADER, _UES_ROW, _ue_tables(layout, sat, n, config.seed, slants, elevations)))
+    footprints = (project_footprints(chunk, sat, edge_samples).columns() for _, chunk in _beam_chunks(layout, 6 * edge_samples + 1))
+    _write(out_dir / "footprints.csv", _csv(FOOTPRINTS_CSV_HEADER, _FOOTPRINTS_ROW, footprints))
     # drop_ues emits each beam's n UEs together, in layout order.
     group_ids = [beam.id for beam in layout.beams]
     stats = _beam_stats(group_ids, np.arange(0, len(slants), n), slants, elevations, layout, bins)
@@ -317,18 +304,19 @@ def _build_parser() -> _Parser:
         metavar="SET:SCENARIO",
         help="named scenario, e.g. set1:leo_s (sets beamwidth and altitude; flags override)",
     )
+    # ScenarioConfig's fields and run()'s signature are the one home of the
+    # defaults, and the help reads them off both.  An unset --bins or
+    # --edge-samples leaves no attribute, and main passes only the flags given.
+    default = {name: p.default for name, p in inspect.signature(run).parameters.items()}
+    default.update((field.name, field.default) for field in dataclasses.fields(ScenarioConfig))
     parser.add_argument("--beamwidth-deg", dest="beamwidth_3db_deg", metavar="BEAMWIDTH_DEG", type=float, help="3 dB beamwidth in degrees")
     parser.add_argument("--altitude-km", type=float, help="satellite altitude in km")
-    parser.add_argument("--earth-radius-km", type=float, help="Earth radius in km (default 6371)")
-    parser.add_argument("--elevation-deg", dest="center_elevation_deg", metavar="ELEVATION_DEG", type=float, help="centre-beam elevation in degrees (default 70)")
-    parser.add_argument("--frf", type=int, choices=(1, 3), help="frequency reuse factor (default 1)")
+    parser.add_argument("--earth-radius-km", type=float, help=f"Earth radius in km (default {default['earth_radius_km']})")
+    parser.add_argument("--elevation-deg", dest="center_elevation_deg", metavar="ELEVATION_DEG", type=float, help=f"centre-beam elevation in degrees (default {default['center_elevation_deg']})")
+    parser.add_argument("--frf", type=int, choices=(1, 3), help=f"frequency reuse factor (default {default['frf']})")
     parser.add_argument("--rings", type=int, help="hex rings around the centre beam (default 4 for FRF=1, 6 for FRF=3)")
-    parser.add_argument("--ues-per-beam", type=int, help="UEs dropped per beam (default 10)")
-    parser.add_argument("--seed", type=int, help="RNG seed, unsigned 64-bit (default 0)")
-    # run()'s signature is the one home of these two defaults: an unset flag
-    # leaves no attribute, main passes only the flags given, and the help
-    # reads the defaults off the signature.
-    default = {name: p.default for name, p in inspect.signature(run).parameters.items()}
+    parser.add_argument("--ues-per-beam", type=int, help=f"UEs dropped per beam (default {default['ues_per_beam']})")
+    parser.add_argument("--seed", type=int, help=f"RNG seed, unsigned 64-bit (default {default['seed']})")
     parser.add_argument("--bins", type=int, default=argparse.SUPPRESS, help=f"slant-range histogram bins (default {default['bins']})")
     parser.add_argument("--edge-samples", type=int, default=argparse.SUPPRESS, help=f"boundary samples per hexagon edge (default {default['edge_samples']})")
     parser.add_argument("--out", default="out", help="output directory (default ./out)")

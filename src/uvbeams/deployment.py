@@ -9,6 +9,7 @@ by :func:`_stream_states`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -187,7 +188,7 @@ def sample_point_in_hexagon(
     that is not positive and finite, or a centre coordinate that is not
     finite, raises :class:`ValueError` before any draw.
     """
-    if not 0.0 < circumradius < math.inf:
+    if not 0.0 < circumradius <= sys.float_info.max:
         raise ValueError(f"circumradius must be positive and finite, got {circumradius}")
     cu = center.u
     cv = center.v

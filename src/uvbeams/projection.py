@@ -11,6 +11,7 @@ on the Earth sphere.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,11 +70,12 @@ class SatelliteState:
     altitude_km: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.earth_radius_km) and self.earth_radius_km > 0.0):
+        # NaN, inf and an int too large for a float all fail these comparisons.
+        if not 0.0 < self.earth_radius_km <= sys.float_info.max:
             raise ValueError(
                 f"earth radius must be positive and finite, got {self.earth_radius_km}"
             )
-        if not (math.isfinite(self.altitude_km) and self.altitude_km > 0.0):
+        if not 0.0 < self.altitude_km <= sys.float_info.max:
             raise ValueError(f"altitude must be positive and finite, got {self.altitude_km}")
 
     @property

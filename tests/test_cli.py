@@ -246,7 +246,7 @@ class TestCsvWriter:
         ints = np.arange(n) - 1
         floats = np.full(n, -0.0)
         floats[1] = -1.5
-        text = "".join(_csv("h", "%d,%.9g\n", ints, floats))
+        text = "".join(_csv("h", "%d,%.9g\n", [[ints, floats]]))
         assert text == "h\n-1,0\n0,-1.5\n" + "".join("%d,0\n" % (i - 1) for i in range(2, n))
 
 
@@ -422,6 +422,16 @@ class TestMain:
         assert main(["--preset", "set1:leo_s", "--out", str(tmp_path)]) == 3
         assert main(["--preset", "set1:leo_s", "--bins", "7", "--out", str(tmp_path)]) == 3
         assert passed == [("unset", "unset"), (7, "unset")]
+
+    def test_help_shows_the_config_defaults(self):
+        # The help reads each default off ScenarioConfig, so a changed field
+        # default cannot leave the help wrong.  rings=None picks a count per
+        # reuse factor, which the help spells out.
+        actions = {action.dest: action for action in _build_parser()._actions}
+        defaulted = [f for f in dataclasses.fields(ScenarioConfig) if f.default not in (dataclasses.MISSING, None)]
+        assert len(defaulted) == 5
+        for field in defaulted:
+            assert actions[field.name].help.endswith(f"(default {field.default})")
 
     def test_first_fault_met_is_reported(self, tmp_path, capsys):
         # The layout is built before the statistics, so the horizon fault

@@ -88,6 +88,13 @@ class TestHexagonSampler:
         with pytest.raises(ValueError):
             sample_point_in_hexagon(UvPoint(0.0, 0.0), radius, beam_rng(0, 0))
 
+    def test_radius_too_large_for_a_float_rejected_before_any_draw(self):
+        rng = beam_rng(0, 0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="circumradius must be positive and finite"):
+            sample_point_in_hexagon(UvPoint(0.0, 0.0), 10**400, rng)
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("axis", ["u", "v"])
     def test_non_finite_centre_rejected(self, axis, value):

@@ -265,6 +265,13 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=f"{field} must be a real number, got {value!r}"):
             ScenarioConfig(**base)
 
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    def test_int_too_large_for_a_float_rejected(self, field):
+        base = dict(beamwidth_3db_deg=4.4127, altitude_km=1200.0)
+        base[field] = 10**400
+        with pytest.raises(ValueError):
+            ScenarioConfig(**base)
+
     def test_other_reals_become_floats(self):
         config = ScenarioConfig(
             beamwidth_3db_deg=np.float32(4.4127),

@@ -16,7 +16,7 @@ import pytest
 from test_golden import CONFIGS
 from uvbeams.cli import run
 
-PEAK_BOUND_MB = {"dense": 2.0, "wide": 2.4}
+PEAK_BOUND_MB = {"dense": 1.2, "wide": 2.4}
 
 
 @pytest.mark.parametrize("name", sorted(PEAK_BOUND_MB))

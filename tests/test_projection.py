@@ -57,6 +57,9 @@ class TestSatelliteState:
             (math.inf, 1200.0),
             (6371.0, math.nan),
             (6371.0, math.inf),
+            # An int too large for a float raised OverflowError here once.
+            pytest.param(10**400, 1200.0, id="re-10**400"),
+            pytest.param(6371.0, 10**400, id="alt-10**400"),
         ],
     )
     def test_validation(self, re, alt):

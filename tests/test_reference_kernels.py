@@ -424,9 +424,9 @@ def ref_run(config, out_dir, bins, edge_samples):
     stats = beam_stats(ues, layout, bins)
     footprints = project_footprints(layout, sat, edge_samples)
     beams = ((b.id, b.index.q, b.index.r, b.center_uv.u, b.center_uv.v, b.color, b.role.value) for b in layout)
-    _write(out_dir / "beams.csv", _csv(BEAMS_CSV_HEADER, _BEAMS_ROW, *map(np.array, zip(*beams))))
-    _write(out_dir / "ues.csv", _csv(UES_CSV_HEADER, _UES_ROW, *ues.columns()))
-    _write(out_dir / "footprints.csv", _csv(FOOTPRINTS_CSV_HEADER, _FOOTPRINTS_ROW, *footprints.columns()))
+    _write(out_dir / "beams.csv", _csv(BEAMS_CSV_HEADER, _BEAMS_ROW, [list(map(np.array, zip(*beams)))]))
+    _write(out_dir / "ues.csv", _csv(UES_CSV_HEADER, _UES_ROW, [ues.columns()]))
+    _write(out_dir / "footprints.csv", _csv(FOOTPRINTS_CSV_HEADER, _FOOTPRINTS_ROW, [footprints.columns()]))
     _write(out_dir / "stats.json", _stats_json(stats, bins, len(ues)))
     manifest = {
         "version": __version__,
