@@ -13,6 +13,7 @@ import numpy as np
 
 from .deployment import UeRecord, UeTable
 from .layout import (
+    _CORNER_UNIT,
     STATISTICS_RINGS,
     BeamLayout,
     BeamRole,
@@ -225,14 +226,19 @@ def project_footprints(
     first corner) before projection, which is enough to show how the Earth's
     curvature bends the far-side footprints.
 
-    The boundary points of every beam are built at once, so a call on a
-    whole layout peaks at about 2.5 times the memory of its result.
-    ``run()`` calls it one chunk of beams at a time (``cli._beam_chunks``).
+    The corners are built as columns from the beam centres and the layout's
+    radius, by the two operations of :func:`~uvbeams.layout.hexagon_vertices`
+    (``centre + radius * unit``), so they have the bits of
+    ``beam.vertices_uv`` without making a point object per corner.  The
+    boundary points of every beam are built at once, so a call on a whole
+    layout peaks at about 2.5 times the memory of its result.  ``run()``
+    calls it one chunk of beams at a time (``cli._beam_chunks``).
     """
     _check_count("samples_per_edge", samples_per_edge)
     # Corners a and b of every edge, shape (beams, 6, 1, 2); each boundary
     # point is a + t * (b - a) with t = j / samples_per_edge.
-    a = np.array([[(p.u, p.v) for p in beam.vertices_uv] for beam in layout.beams])[:, :, None]
+    centres = np.array([(beam.center_uv.u, beam.center_uv.v) for beam in layout.beams])
+    a = centres.reshape(-1, 1, 1, 2) + layout.beam_radius * np.array(_CORNER_UNIT)[:, None]
     b = np.roll(a, -1, axis=1)
     t = (np.arange(samples_per_edge) / samples_per_edge)[:, None]
     uv = (a + t * (b - a)).reshape(len(a), -1, 2)

@@ -186,13 +186,18 @@ def sample_point_in_hexagon(
     this order: ``rng.integers(6)``, then two ``rng.random()``.  The order is
     part of the byte-reproducibility contract of the drop.  A circumradius
     that is not positive and finite, or a centre coordinate that is not
-    finite, raises :class:`ValueError` before any draw.
+    finite (an int too large for a float is not), raises
+    :class:`ValueError` before any draw.
     """
     if not 0.0 < circumradius <= sys.float_info.max:
         raise ValueError(f"circumradius must be positive and finite, got {circumradius}")
     cu = center.u
     cv = center.v
-    if not (math.isfinite(cu) and math.isfinite(cv)):
+    try:
+        finite = math.isfinite(cu) and math.isfinite(cv)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
         raise ValueError(f"hexagon centre must be finite, got {center}")
     k = int(rng.integers(6))
     a1 = rng.random()

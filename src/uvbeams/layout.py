@@ -127,12 +127,19 @@ class BeamRole(str, Enum):
 
 @dataclass(frozen=True, slots=True)
 class Beam:
+    """One beam cell; ``radius`` is the layout's shared circumradius."""
+
     id: int
     index: HexIndex
     center_uv: UvPoint
-    vertices_uv: tuple[UvPoint, ...]
+    radius: float
     color: int
     role: BeamRole
+
+    @property
+    def vertices_uv(self) -> tuple[UvPoint, ...]:
+        """Corners of the beam hexagon, computed by :func:`hexagon_vertices`."""
+        return hexagon_vertices(self.center_uv, self.radius)
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,12 +263,16 @@ def hexagon_contains(center: UvPoint, circumradius: float, point: UvPoint, tol: 
     """Half-plane membership test for the closed hexagon.
 
     Boundary points count as inside; ``tol`` scales with the circumradius to
-    absorb float round-off on the edges.
+    absorb float round-off on the edges.  An int too large for a float, as a
+    coordinate or the circumradius, raises :class:`ValueError`.
     """
-    limit = _SQRT3_2 * circumradius + tol * circumradius
-    du = point.u - center.u
-    dv = point.v - center.v
-    return all(abs(du * nx + dv * ny) <= limit for nx, ny in _EDGE_NORMAL)
+    try:
+        limit = _SQRT3_2 * circumradius + tol * circumradius
+        du = point.u - center.u
+        dv = point.v - center.v
+        return all(abs(du * nx + dv * ny) <= limit for nx, ny in _EDGE_NORMAL)
+    except OverflowError:
+        raise ValueError("a hexagon coordinate or circumradius is too large for a float") from None
 
 
 def build_layout(config: ScenarioConfig) -> BeamLayout:
@@ -297,7 +308,7 @@ def build_layout(config: ScenarioConfig) -> BeamLayout:
                 id=i,
                 index=idx,
                 center_uv=center,
-                vertices_uv=hexagon_vertices(center, radius),
+                radius=radius,
                 color=frf_color(idx, config.frf),
                 role=role,
             )

@@ -150,7 +150,11 @@ def _line_of_sight(
     r_e = sat.earth_radius_km
     a = sat.altitude_km
     r_s = r_e + a
-    d_uv = hypot(u, v)
+    try:
+        d_uv = hypot(u, v)
+    except OverflowError:
+        # An int coordinate too large for a float lies past any horizon.
+        d_uv = math.inf
     limit = r_e / r_s
     # A float inside the horizon compares True and skips the call; a NaN
     # radius fails the test.  A column's comparison is never True, so
@@ -204,8 +208,9 @@ def los_geometry(p_uv: UvPoint, sat: SatelliteState) -> LosGeometry:
         d = -r_E * sin(alpha) + sqrt(r_E^2 * sin^2(alpha) + a^2 + 2 * r_E * a)
 
     Raises :class:`HorizonError` when ``|uv|`` exceeds ``r_E / (r_E + a)``
-    or is not a number; points past the horizon are rejected rather than
-    clamped because a clamp would silently bias downstream statistics.
+    or is not a number, and for a coordinate that is an int too large for a
+    float; points past the horizon are rejected rather than clamped because
+    a clamp would silently bias downstream statistics.
     """
     return LosGeometry(*_line_of_sight(p_uv.u, p_uv.v, sat)[:6])
 
@@ -225,10 +230,15 @@ def earth_to_uv(p_u: GroundPoint, sat: SatelliteState) -> UvPoint:
 
     The x and y components of the unit vector from the satellite to the point
     are exactly the direction sines.  Both the sphere and the visibility test
-    allow :data:`_ON_SPHERE_TOL` times the Earth radius.
+    allow :data:`_ON_SPHERE_TOL` times the Earth radius.  A point off the
+    sphere, such as one with an int coordinate too large for a float,
+    raises :class:`ValueError`.
     """
     r_e = sat.earth_radius_km
-    radius = p_u.norm_km()
+    try:
+        radius = p_u.norm_km()
+    except OverflowError:
+        radius = math.inf
     # Both tests are written so that a NaN coordinate fails them.
     if not abs(radius - r_e) <= _ON_SPHERE_TOL * r_e:
         raise ValueError(

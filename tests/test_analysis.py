@@ -25,10 +25,12 @@ from uvbeams import (
     drop_ues,
     footprint_area_km2,
     hexagon_contains,
+    hexagon_vertices,
     los_geometry,
     preset,
     project_footprints,
     scenario_summary,
+    uv_to_earth,
 )
 from uvbeams.projection import _project_columns
 
@@ -268,6 +270,23 @@ class TestFootprints:
             if db > da + 1e-9:
                 assert ab > aa
 
+    @pytest.mark.parametrize("name", ["dense", "wide", "odd"])
+    def test_corners_have_the_bits_of_hexagon_vertices(self, name):
+        # project_footprints builds the corners as columns; they must be the
+        # corners a beam reports, and project as those points do alone.
+        layout = build_layout(CONFIGS[name])
+        sat = CONFIGS[name].satellite()
+        samples = 3
+        table = project_footprints(layout, sat, samples_per_edge=samples)
+        got = np.stack([table.x_km, table.y_km, table.z_km], axis=-1)[:, ::samples]
+        expected = []
+        for beam in layout.beams:
+            assert beam.radius is layout.beam_radius
+            corners = hexagon_vertices(beam.center_uv, layout.beam_radius)
+            assert beam.vertices_uv == corners
+            expected.append([dataclasses.astuple(uv_to_earth(p, sat)) for p in corners + corners[:1]])
+        assert got.tobytes() == np.array(expected).tobytes()
+
     def test_bad_samples_rejected(self, leo_sat, frf1_layout):
         with pytest.raises(ValueError):
             project_footprints(frf1_layout, leo_sat, samples_per_edge=0)
@@ -285,6 +304,16 @@ CENTROIDS = np.array(
     [(3 * i + 1, 3 * j + 1) for i in range(QUAD_STEPS) for j in range(QUAD_STEPS - i)]
     + [(3 * i + 2, 3 * j + 2) for i in range(QUAD_STEPS - 1) for j in range(QUAD_STEPS - 1 - i)]
 ) / (3 * QUAD_STEPS)
+
+
+def fan_centroids(layout):
+    """The centroid rule's points: the centroids of the sub-triangles of each
+    fan triangle (centre, corner k, corner k + 1) of every beam hexagon, shape
+    (beams, 6, 576, 2).  All 6 x 576 sub-triangles of a beam have equal areas."""
+    centre = np.array([(b.center_uv.u, b.center_uv.v) for b in layout.beams])[:, None, None]
+    corners = np.array([[(p.u, p.v) for p in b.vertices_uv] for b in layout.beams])[:, :, None]
+    return centre + CENTROIDS[:, :1] * (corners - centre) + CENTROIDS[:, 1:] * (np.roll(corners, -1, axis=1) - centre)
+
 
 # Every distinct preset (set2:leo_ka repeats set1:leo_s) at each of nadir,
 # the default 70 degrees and 45 degrees whose FRF-3 layout fits inside the
@@ -329,11 +358,7 @@ class TestFootprintJacobian:
         layout = build_layout(config)
         sat = config.satellite()
         footprints = project_footprints(layout, sat, samples_per_edge=64)
-        # The centroid rule on each fan triangle (centre, corner k, corner
-        # k + 1) of every hexagon; the six triangles have equal areas.
-        centre = np.array([(b.center_uv.u, b.center_uv.v) for b in layout.beams])[:, None, None]
-        corners = np.array([[(p.u, p.v) for p in b.vertices_uv] for b in layout.beams])[:, :, None]
-        uv = centre + CENTROIDS[:, :1] * (corners - centre) + CENTROIDS[:, 1:] * (np.roll(corners, -1, axis=1) - centre)
+        uv = fan_centroids(layout)
         # los_geometry's kernel on columns, which gives its bits.
         omega, alpha, d, *ground = _project_columns(
             uv[..., 0].ravel(), uv[..., 1].ravel(), sat, lambda *los: (los[1], los[4], los[5], *los[6:])
@@ -347,6 +372,58 @@ class TestFootprintJacobian:
         oracle = sub_triangle * (jacobian.reshape(len(layout), -1) * weight).sum(axis=1)
         areas = np.array([footprint_area_km2(fp) for fp in footprints])
         assert np.max(np.abs(areas / oracle - 1.0)) < 2e-4
+
+
+# The 0.001 upper quantile of the chi-square distribution with the degrees
+# of freedom that the merged bins of the dense golden drop leave.
+DENSITY_DOF = 459
+CHI2_CRIT_459DOF_P001 = 558.35
+
+
+def merged_bins(expected, observed, least=5.0):
+    """Runs of adjacent bins, in order, each the first to expect at least
+    ``least`` UEs; a tail that expects fewer joins the last run.  Returns
+    the expected and observed counts of each run."""
+    runs = []
+    e_run = o_run = 0.0
+    for e, o in zip(expected, observed):
+        e_run += e
+        o_run += o
+        if e_run >= least:
+            runs.append([e_run, o_run])
+            e_run = o_run = 0.0
+    runs[-1][0] += e_run
+    runs[-1][1] += o_run
+    return np.array(runs).T
+
+
+class TestUeDensity:
+    """UEs are uniform in UV, so a beam's expected share of UEs in a slant
+    bin is the UV-area share of its hexagon whose slant falls in that bin.
+    The centroid rule gives that share, and a chi-square test compares it
+    with the ``beam_stats`` counts.  Criterion 10 checks uniformity in UV;
+    this checks the projection and the histogram edge rule with it."""
+
+    def test_bin_counts_follow_the_uv_area_shares(self):
+        config = CONFIGS["dense"]
+        layout = build_layout(config)
+        sat = config.satellite()
+        n = config.ues_per_beam
+        stats = beam_stats(drop_ues(layout, sat, n, config.seed), layout, bins=50)
+        edges = np.array([cell[0] for cell in stats[0].histogram] + [stats[0].histogram[-1][1]])
+        uv = fan_centroids(layout)
+        (slant,) = _project_columns(uv[..., 0].ravel(), uv[..., 1].ravel(), sat, lambda *los: (los[5],))
+        # The shared edges span the sampled slants; the 0.01% of the area
+        # outside them counts in the end bins.
+        slant = np.clip(slant.reshape(len(layout), -1), edges[0], edges[-1])
+        chi2 = dof = 0
+        for s, row in zip(slant, stats, strict=True):
+            expected = n * np.histogram(s, edges)[0] / len(s)
+            e, o = merged_bins(expected, [cell[2] for cell in row.histogram])
+            chi2 += ((o - e) ** 2 / e).sum()
+            dof += len(e) - 1
+        assert chi2 < CHI2_CRIT_459DOF_P001
+        assert dof == DENSITY_DOF
 
 
 class TestScenarioSummary:

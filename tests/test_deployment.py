@@ -95,12 +95,25 @@ class TestHexagonSampler:
             sample_point_in_hexagon(UvPoint(0.0, 0.0), 10**400, rng)
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            math.nan,
+            math.inf,
+            -math.inf,
+            # An int too large for a float raised OverflowError here once.
+            pytest.param(10**400, id="10**400"),
+            pytest.param(-(10**400), id="-10**400"),
+        ],
+    )
     @pytest.mark.parametrize("axis", ["u", "v"])
     def test_non_finite_centre_rejected(self, axis, value):
         center = UvPoint(**{"u": 0.0, "v": 0.0, axis: value})
+        rng = beam_rng(0, 0)
+        state = rng.bit_generator.state
         with pytest.raises(ValueError, match="centre"):
-            sample_point_in_hexagon(center, 0.1, beam_rng(0, 0))
+            sample_point_in_hexagon(center, 0.1, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestBeamRng:

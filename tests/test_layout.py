@@ -209,6 +209,22 @@ class TestHexagonGeometry:
         assert not hexagon_contains(center, 0.05, UvPoint(apothem * 1.001, 0.0))
         assert not hexagon_contains(center, 0.05, UvPoint(0.06, 0.0))
 
+    @pytest.mark.parametrize(
+        "center,radius,point",
+        [
+            (UvPoint(10**400, 0.0), 0.05, UvPoint(0.0, 0.0)),
+            (UvPoint(0.0, -(10**400)), 0.05, UvPoint(0.0, 0.0)),
+            (UvPoint(0.0, 0.0), 0.05, UvPoint(10**400, 0.0)),
+            (UvPoint(0.0, 0.0), 0.05, UvPoint(0.0, 10**400)),
+            (UvPoint(0.0, 0.0), 10**400, UvPoint(0.0, 0.0)),
+        ],
+        ids=["centre-u", "centre-v", "point-u", "point-v", "radius"],
+    )
+    def test_int_too_large_for_a_float_rejected(self, center, radius, point):
+        # These raised OverflowError once.
+        with pytest.raises(ValueError, match="too large for a float"):
+            hexagon_contains(center, radius, point)
+
 
 class TestScenarioConfig:
     def test_ring_count_defaults_follow_frf(self):

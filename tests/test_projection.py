@@ -119,7 +119,17 @@ class TestLosGeometry:
         with pytest.raises(HorizonError):
             los_geometry(UvPoint(0.0, -0.9), leo_sat)
 
-    @pytest.mark.parametrize("u,v", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)])
+    @pytest.mark.parametrize(
+        "u,v",
+        [
+            (math.nan, 0.0),
+            (0.0, math.nan),
+            (math.nan, math.nan),
+            # An int too large for a float raised OverflowError here once.
+            pytest.param(10**400, 0.0, id="u-10**400"),
+            pytest.param(0.0, -(10**400), id="v--10**400"),
+        ],
+    )
     def test_nan_raises(self, leo_sat, u, v):
         # A NaN radius must not slip through the horizon test as a finite
         # slant range.
@@ -231,11 +241,16 @@ class TestEarthToUv:
             GroundPoint(0.0, math.nan, R_E),
             GroundPoint(0.0, 0.0, math.nan),
             GroundPoint(math.nan, math.nan, math.nan),
+            GroundPoint(10**400, 0.0, 0.0),
+            GroundPoint(0.0, 0.0, 10**400),
+            GroundPoint(10**200, 0.0, 0.0),
         ],
-        ids=["x", "y", "z", "xyz"],
+        ids=["x", "y", "z", "xyz", "x-10**400", "z-10**400", "x-10**200"],
     )
     def test_nan_rejected(self, leo_sat, point):
         # A NaN coordinate used to pass both comparisons and give UvPoint(nan, nan).
+        # An int too large for a float, or whose square is, raised
+        # OverflowError once.
         with pytest.raises(ValueError):
             earth_to_uv(point, leo_sat)
 

@@ -1,11 +1,15 @@
-"""README: the library example runs and its stated counts hold."""
+"""README: the library example runs, its stated counts hold, and the CLI
+flag table gives the code's defaults."""
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import re
 from pathlib import Path
 
-from uvbeams import BeamRole
+from uvbeams import BeamRole, ScenarioConfig
+from uvbeams.cli import _build_parser, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,3 +25,17 @@ def test_library_example_runs_and_counts_match():
     assert sum(beam.role is BeamRole.STATISTICS for beam in layout) == statistics
     assert len(namespace["ues"]) == beams * namespace["config"].ues_per_beam
     assert {s.beam_id for s in namespace["stats"]} == {beam.id for beam in layout}
+
+
+def test_flag_table_defaults_are_the_code_defaults():
+    text = README.read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(--[a-z-]+)[^`]*` \| [^|]* \| ([^|]*?) \|$", text, re.M)
+    dest = {flag: action.dest for action in _build_parser()._actions for flag in action.option_strings}
+    table = {dest[flag]: float(value) for flag, value in rows if re.fullmatch(r"\d+(\.\d+)?", value)}
+    defaults = {name: p.default for name, p in inspect.signature(run).parameters.items()}
+    defaults.update((field.name, field.default) for field in dataclasses.fields(ScenarioConfig))
+    numeric = {name: value for name, value in defaults.items() if type(value) in (int, float)}
+    # Every numeric default is in the table, compared as a number, and the
+    # table states no other.
+    assert table == numeric
+    assert len(table) == 7
