@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -126,55 +126,58 @@ def beam_stats(ues: UeTable | Iterable[UeRecord], layout: BeamLayout, bins: int 
     order = np.argsort(ues.beam_id, kind="stable")
     beam_ids = ues.beam_id[order]
     starts = np.flatnonzero(np.concatenate(([True], beam_ids[1:] != beam_ids[:-1])))
-    slants, elevations = ues.slant_range_km[order], ues.elevation_deg[order]
-    return _beam_stats(beam_ids[starts].tolist(), starts, slants, elevations, layout, bins)
+    elevations = ues.elevation_deg[order]
+    extrema = np.array([f.reduceat(elevations, starts) for f in (np.minimum, np.maximum)])
+    del elevations
+    return _beam_stats(beam_ids[starts].tolist(), starts, ues.slant_range_km[order], extrema, layout, bins)
 
 
 def _beam_stats(
     group_ids: list[int],
     starts: np.ndarray,
     slants: np.ndarray,
-    elevations: np.ndarray,
+    elevation_extrema: np.ndarray,
     layout: BeamLayout,
     bins: int,
 ) -> list[BeamStats]:
     """:func:`beam_stats` on UEs grouped by beam: group ``i``, of beam
-    ``group_ids[i]``, is the rows from ``starts[i]`` to the next start.  The
-    caller has checked the input.  A group is a contiguous slice, so its
-    mean has the bits of the beam's own array: ``ndarray.mean`` is the same
-    pairwise sum followed by one division."""
+    ``group_ids[i]``, is the rows from ``starts[i]`` to the next start, and
+    ``elevation_extrema[0][i]`` and ``elevation_extrema[1][i]`` are its least
+    and greatest elevation.  The caller has checked the input.  A group is a
+    contiguous slice, so its mean has the bits of the beam's own array:
+    ``ndarray.mean`` is the same pairwise sum followed by one division."""
     roles = {beam.id: beam.role for beam in layout.beams}
     unknown = [beam_id for beam_id in group_ids if beam_id not in roles]
     if unknown:
         raise ValueError(f"UE beam id {unknown[0]} is not in the layout")
-    n = len(slants)
-    ends = np.append(starts[1:], n)
+    bounds = np.append(starts, len(slants))
     lo = float(slants.min())
     hi = float(slants.max())
     # When every slant is equal, linspace gives the one bin [lo, lo].
     bins = bins if hi > lo else 1
     # np.histogram's edge rule: bin i holds edges[i] <= x < edges[i + 1], and
-    # the last bin is closed on the right.  Each UE's cell, group * bins +
-    # bin, is built in one int64 column, its bins _CHUNK UEs at a time; the
-    # sorted column's runs are the non-empty cells and their counts.
+    # the last bin is closed on the right.  Each UE's cell is group * bins +
+    # bin.  Cells are counted one block of whole groups at a time: the groups
+    # that start in one _CHUNK of rows.  Blocks hold disjoint, ascending
+    # cells, so their sorted runs, joined, are those of one sort of all.
     edges = np.linspace(lo, hi, bins + 1)
-    cell = np.repeat(np.arange(0, len(starts) * bins, bins), ends - starts)
-    for start in range(0, n, _CHUNK):
-        bin_of_ue = np.searchsorted(edges, slants[start : start + _CHUNK], "right") - 1
-        cell[start : start + _CHUNK] += np.minimum(bin_of_ue, bins - 1, out=bin_of_ue)
-    cell.sort()
-    runs = np.concatenate(([0], np.flatnonzero(cell[1:] != cell[:-1]) + 1))
-    cells, counts = cell[runs], np.diff(runs, append=n)
-    del cell
+    blocks = np.flatnonzero(np.diff(starts // _CHUNK, prepend=-1)).tolist() + [len(starts)]
+    runs = []
+    for first, last in zip(blocks, blocks[1:]):
+        cell = np.repeat(np.arange(first * bins, last * bins, bins), np.diff(bounds[first : last + 1]))
+        bin_of_ue = np.searchsorted(edges, slants[bounds[first] : bounds[last]], "right") - 1
+        cell += np.minimum(bin_of_ue, bins - 1, out=bin_of_ue)
+        runs.append(np.unique(cell, return_counts=True))
+    cells, counts = map(np.concatenate, zip(*runs))
+    del runs, cell, bin_of_ue
 
     columns = zip(
         group_ids,
         starts.tolist(),
-        ends.tolist(),
+        bounds[1:].tolist(),
         np.minimum.reduceat(slants, starts).tolist(),
         np.maximum.reduceat(slants, starts).tolist(),
-        np.minimum.reduceat(elevations, starts).tolist(),
-        np.maximum.reduceat(elevations, starts).tolist(),
+        *elevation_extrema.tolist(),
         _histograms(cells, counts, edges[:-1].tolist(), edges[1:].tolist()),
     )
     return [
@@ -217,6 +220,15 @@ def _histograms(cells: np.ndarray, counts: np.ndarray, bin_lo: list[float], bin_
         yield histogram
 
 
+def _beam_chunks(layout: BeamLayout, per_beam: int) -> Iterator[tuple[int, BeamLayout]]:
+    """The first beam index and the sub-layout of each run of ``max(1,
+    _CHUNK // per_beam)`` consecutive beams, for work of ``per_beam`` rows
+    per beam."""
+    step = max(1, _CHUNK // per_beam)
+    for start in range(0, len(layout), step):
+        yield start, replace(layout, beams=layout.beams[start : start + step])
+
+
 def project_footprints(
     layout: BeamLayout, sat: SatelliteState, samples_per_edge: int = 8
 ) -> FootprintTable:
@@ -230,22 +242,32 @@ def project_footprints(
     radius, by the two operations of :func:`~uvbeams.layout.hexagon_vertices`
     (``centre + radius * unit``), so they have the bits of
     ``beam.vertices_uv`` without making a point object per corner.  The
-    boundary points of every beam are built at once, so a call on a whole
-    layout peaks at about 2.5 times the memory of its result.  ``run()``
-    calls it one chunk of beams at a time (``cli._beam_chunks``).
+    boundary points are built and projected one chunk of beams at a time
+    (:func:`_beam_chunks`) into the result arrays, so a call on a whole
+    layout peaks at about 1.3 times the memory of its result.
     """
     _check_count("samples_per_edge", samples_per_edge)
-    # Corners a and b of every edge, shape (beams, 6, 1, 2); each boundary
-    # point is a + t * (b - a) with t = j / samples_per_edge.
-    centres = np.array([(beam.center_uv.u, beam.center_uv.v) for beam in layout.beams])
-    a = centres.reshape(-1, 1, 1, 2) + layout.beam_radius * np.array(_CORNER_UNIT)[:, None]
-    b = np.roll(a, -1, axis=1)
+    corners = layout.beam_radius * np.array(_CORNER_UNIT)[:, None]
     t = (np.arange(samples_per_edge) / samples_per_edge)[:, None]
-    uv = (a + t * (b - a)).reshape(len(a), -1, 2)
-    uv = np.concatenate([uv, uv[:, :1]], axis=1)
-    xyz = _project_columns(uv[..., 0].ravel(), uv[..., 1].ravel(), sat, lambda *los: los[6:])
+    points = 6 * samples_per_edge + 1
+    xyz = None
+    for start, chunk in _beam_chunks(layout, points):
+        # Corners a and b of every edge, shape (beams, 6, 1, 2); each boundary
+        # point is a + t * (b - a) with t = j / samples_per_edge.
+        centres = np.array([(beam.center_uv.u, beam.center_uv.v) for beam in chunk])
+        a = centres.reshape(-1, 1, 1, 2) + corners
+        b = np.roll(a, -1, axis=1)
+        uv = (a + t * (b - a)).reshape(len(a), -1, 2)
+        uv = np.concatenate([uv, uv[:, :1]], axis=1)
+        rows = _project_columns(uv[..., 0].ravel(), uv[..., 1].ravel(), sat, lambda *los: los[6:])
+        # The result is made once the first chunk is projected: run() calls
+        # this one chunk at a time, and made earlier it would add to the
+        # kernel's transient peak.
+        if xyz is None:
+            xyz = np.empty((3, len(layout) * points))
+        xyz[:, start * points : (start + len(a)) * points] = rows
     beam_ids = np.array([beam.id for beam in layout.beams], np.int64)
-    return FootprintTable(beam_ids, *xyz.reshape(3, len(a), uv.shape[1]))
+    return FootprintTable(beam_ids, *xyz.reshape(3, len(layout), points))
 
 
 def footprint_area_km2(footprint: Footprint) -> float:

@@ -21,10 +21,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import __version__
-from .analysis import BeamStats, _beam_stats, project_footprints
+from .analysis import BeamStats, _beam_chunks, _beam_stats, project_footprints
 from .deployment import RNG_ALGORITHM, RNG_STREAM_RULE, drop_ues
 from .layout import BeamLayout, BeamRole, ScenarioConfig, _check_count, build_layout
-from .projection import _CHUNK, HorizonError, SatelliteState, horizon_limit
+from .projection import HorizonError, SatelliteState, horizon_limit
 
 __all__ = [
     "GEO_ALTITUDE_KM",
@@ -195,27 +195,19 @@ def _csv(header: str, template: str, tables: Iterable[list[np.ndarray]]) -> Iter
         del columns
 
 
-def _beam_chunks(layout: BeamLayout, per_beam: int) -> Iterator[tuple[int, BeamLayout]]:
-    """The first beam index and the sub-layout of each run of ``max(1,
-    _CHUNK // per_beam)`` consecutive beams, for work of ``per_beam`` rows
-    per beam."""
-    step = max(1, _CHUNK // per_beam)
-    for start in range(0, len(layout), step):
-        yield start, dataclasses.replace(layout, beams=layout.beams[start : start + step])
-
-
 def _ue_tables(
-    layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: int, slants: np.ndarray, elevations: np.ndarray
+    layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: int, slants: np.ndarray, extrema: np.ndarray
 ) -> Iterator[list[np.ndarray]]:
-    """The ``ues.csv`` columns of each beam chunk's drop.  Each chunk's slant
-    ranges and elevations are copied into ``slants`` and ``elevations`` as it
-    goes; every beam's draws depend only on the seed and its id, so the rows
-    are those of one whole-layout drop."""
+    """The ``ues.csv`` columns of each beam chunk's drop.  As it goes, each
+    chunk's slant ranges are copied into ``slants``, and each of its beams'
+    least and greatest elevation into the beam's column of ``extrema``, shape
+    ``(2, beams)``; every beam's draws depend only on the seed and its id, so
+    the rows are those of one whole-layout drop."""
     for start, chunk in _beam_chunks(layout, ues_per_beam):
         ues = drop_ues(chunk, sat, ues_per_beam, seed)
-        rows = slice(start * ues_per_beam, start * ues_per_beam + len(ues))
-        slants[rows] = ues.slant_range_km
-        elevations[rows] = ues.elevation_deg
+        slants[start * ues_per_beam : start * ues_per_beam + len(ues)] = ues.slant_range_km
+        beams = np.arange(0, len(ues), ues_per_beam)
+        extrema[:, start : start + len(chunk)] = [f.reduceat(ues.elevation_deg, beams) for f in (np.minimum, np.maximum)]
         yield ues.columns()
         del ues  # released before the next chunk is dropped
 
@@ -253,16 +245,17 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
     # CSV floats carry 9 significant digits; + 0.0 turns -0.0 into 0.0.
     beams = (_BEAMS_ROW % (b.id, b.index.q, b.index.r, b.center_uv.u + 0.0, b.center_uv.v + 0.0, b.color, b.role.value) for b in layout)
     _write(out_dir / "beams.csv", (BEAMS_CSV_HEADER + "\n", *beams))
-    # The statistics need only each UE's slant range and elevation.
+    # The statistics need only each UE's slant range and each beam's
+    # elevation extrema.
     n = config.ues_per_beam
-    slants, elevations = np.empty((2, len(layout) * n))
-    _write(out_dir / "ues.csv", _csv(UES_CSV_HEADER, _UES_ROW, _ue_tables(layout, sat, n, config.seed, slants, elevations)))
+    slants, extrema = np.empty(len(layout) * n), np.empty((2, len(layout)))
+    _write(out_dir / "ues.csv", _csv(UES_CSV_HEADER, _UES_ROW, _ue_tables(layout, sat, n, config.seed, slants, extrema)))
     footprints = (project_footprints(chunk, sat, edge_samples).columns() for _, chunk in _beam_chunks(layout, 6 * edge_samples + 1))
     _write(out_dir / "footprints.csv", _csv(FOOTPRINTS_CSV_HEADER, _FOOTPRINTS_ROW, footprints))
     # drop_ues emits each beam's n UEs together, in layout order.
     group_ids = [beam.id for beam in layout.beams]
-    stats = _beam_stats(group_ids, np.arange(0, len(slants), n), slants, elevations, layout, bins)
-    del slants, elevations  # not needed to format stats.json
+    stats = _beam_stats(group_ids, np.arange(0, len(slants), n), slants, extrema, layout, bins)
+    del slants, extrema  # not needed to format stats.json
     _write(out_dir / "stats.json", _stats_json(stats, bins, len(layout) * n))
 
     manifest = RunManifest(

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .layout import _CORNER_UNIT, BeamLayout, _check_count
-from .projection import _CHUNK, GroundPoint, SatelliteState, UvPoint, _project_columns
+from .projection import _CHUNK, GroundPoint, SatelliteState, UvPoint, _project_columns, _shown
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -190,7 +190,7 @@ def sample_point_in_hexagon(
     :class:`ValueError` before any draw.
     """
     if not 0.0 < circumradius <= sys.float_info.max:
-        raise ValueError(f"circumradius must be positive and finite, got {circumradius}")
+        raise ValueError(f"circumradius must be positive and finite, got {_shown(circumradius)}")
     cu = center.u
     cv = center.v
     try:
@@ -198,7 +198,7 @@ def sample_point_in_hexagon(
     except OverflowError:  # an int too large for a float
         finite = False
     if not finite:
-        raise ValueError(f"hexagon centre must be finite, got {center}")
+        raise ValueError(f"hexagon centre must be finite, got ({_shown(cu)}, {_shown(cv)})")
     k = int(rng.integers(6))
     a1 = rng.random()
     a2 = rng.random()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from .projection import HorizonError, SatelliteState, UvPoint, horizon_limit
+from .projection import HorizonError, SatelliteState, UvPoint, _shown, horizon_limit
 
 __all__ = [
     "SQRT3",
@@ -162,7 +162,7 @@ def beam_radius(beamwidth_3db_deg: float) -> float:
     """Beam circumradius on the UV-plane: sine of half the 3 dB beamwidth."""
     if not 0.0 < beamwidth_3db_deg < 180.0:
         raise ValueError(
-            f"3 dB beamwidth must lie in (0, 180) degrees, got {beamwidth_3db_deg}"
+            f"3 dB beamwidth must lie in (0, 180) degrees, got {_shown(beamwidth_3db_deg)}"
         )
     return math.sin(math.radians(beamwidth_3db_deg) / 2.0)
 
@@ -182,7 +182,7 @@ def center_offset(center_elevation_deg: float, earth_radius_km: float, altitude_
     """
     if not 0.0 < center_elevation_deg <= 90.0:
         raise ValueError(
-            f"centre elevation must lie in (0, 90] degrees, got {center_elevation_deg}"
+            f"centre elevation must lie in (0, 90] degrees, got {_shown(center_elevation_deg)}"
         )
     return (
         earth_radius_km
@@ -225,7 +225,7 @@ def _check_count(name: str, value: int) -> int:
     value = int(value)
     if not least <= value < bound:
         below = "" if bound == math.inf else f" and below 2**{bound.bit_length() - 1}"
-        raise ValueError(f"{name} must be at least {least}{below}, got {value}")
+        raise ValueError(f"{name} must be at least {least}{below}, got {_shown(value)}")
     return value
 
 
@@ -248,7 +248,7 @@ def frf_color(index: HexIndex, frf: int) -> int:
         return 0
     if frf == 3:
         return (index.q - index.r) % 3
-    raise ValueError(f"unsupported frequency reuse factor {frf}; expected 1 or 3")
+    raise ValueError(f"unsupported frequency reuse factor {_shown(frf)}; expected 1 or 3")
 
 
 def hexagon_vertices(center: UvPoint, circumradius: float) -> tuple[UvPoint, ...]:

@@ -38,6 +38,15 @@ class HorizonError(ValueError):
     """A UV point (or ground point) lies outside the visible-Earth disk."""
 
 
+def _shown(value) -> str:
+    """A value as an error message shows it: ``str(value)``, except that an
+    int too large for a float is named by its size, since its digits may
+    pass the interpreter's int-to-string limit."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+    return str(value)
+
+
 @dataclass(frozen=True, slots=True)
 class UvPoint:
     """Direction sines (u, v) of a ray in the satellite antenna frame."""
@@ -73,10 +82,10 @@ class SatelliteState:
         # NaN, inf and an int too large for a float all fail these comparisons.
         if not 0.0 < self.earth_radius_km <= sys.float_info.max:
             raise ValueError(
-                f"earth radius must be positive and finite, got {self.earth_radius_km}"
+                f"earth radius must be positive and finite, got {_shown(self.earth_radius_km)}"
             )
         if not 0.0 < self.altitude_km <= sys.float_info.max:
-            raise ValueError(f"altitude must be positive and finite, got {self.altitude_km}")
+            raise ValueError(f"altitude must be positive and finite, got {_shown(self.altitude_km)}")
 
     @property
     def orbit_radius_km(self) -> float:

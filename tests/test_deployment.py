@@ -115,6 +115,28 @@ class TestHexagonSampler:
             sample_point_in_hexagon(center, 0.1, rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize(
+        "where, expected",
+        [
+            ("radius", "circumradius must be positive and finite, got an int of 16610 bits"),
+            ("u", "hexagon centre must be finite, got (an int of 16610 bits, 0.0)"),
+            ("v", "hexagon centre must be finite, got (0.0, a negative int of 16610 bits)"),
+        ],
+        ids=["radius", "centre_u", "centre_v"],
+    )
+    def test_int_past_the_digit_limit_is_named_by_its_size(self, where, expected):
+        # str() of an int of more than 4300 digits raises the interpreter's
+        # own ValueError, which names no argument.
+        huge = 10**5000
+        radius = huge if where == "radius" else 0.1
+        center = UvPoint(huge if where == "u" else 0.0, -huge if where == "v" else 0.0)
+        rng = beam_rng(0, 0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError) as raised:
+            sample_point_in_hexagon(center, radius, rng)
+        assert str(raised.value) == expected
+        assert rng.bit_generator.state == state
+
 
 class TestBeamRng:
     def test_streams_differ_by_beam(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -286,6 +287,27 @@ class TestScenarioConfig:
         base = dict(beamwidth_3db_deg=4.4127, altitude_km=1200.0)
         base[field] = 10**400
         with pytest.raises(ValueError):
+            ScenarioConfig(**base)
+
+    @pytest.mark.parametrize(
+        "field, sign, message",
+        [
+            ("beamwidth_3db_deg", 1, "3 dB beamwidth must lie in (0, 180) degrees, got an int of 16610 bits"),
+            ("altitude_km", 1, "altitude must be positive and finite, got an int of 16610 bits"),
+            ("earth_radius_km", 1, "earth radius must be positive and finite, got an int of 16610 bits"),
+            ("center_elevation_deg", 1, "centre elevation must lie in (0, 90] degrees, got an int of 16610 bits"),
+            ("seed", 1, "seed must be at least 0 and below 2**64, got an int of 16610 bits"),
+            ("seed", -1, "seed must be at least 0 and below 2**64, got a negative int of 16610 bits"),
+            ("frf", 1, "unsupported frequency reuse factor an int of 16610 bits; expected 1 or 3"),
+        ],
+        ids=["beamwidth", "altitude", "earth_radius", "center_elevation", "seed", "negative_seed", "frf"],
+    )
+    def test_int_past_the_digit_limit_is_named_by_its_size(self, field, sign, message):
+        # str() of an int of more than 4300 digits raises the interpreter's
+        # own ValueError, which names no field.
+        base = dict(beamwidth_3db_deg=4.4127, altitude_km=1200.0)
+        base[field] = sign * 10**5000
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ScenarioConfig(**base)
 
     def test_other_reals_become_floats(self):

@@ -1,41 +1,77 @@
 """Bounds on the ``tracemalloc`` peak of ``run()`` on the golden configs,
-and on the size of the wide layout.
+on its growth with the drop size, on the peak of ``project_footprints`` on
+a whole layout, and on the size of the wide layout.
 
-``run()`` drops, projects and writes one beam chunk at a time and keeps
-only each UE's slant range and elevation for the statistics.  Holding a
-whole-run UE table or footprint table again breaks these bounds: that
-design peaked at 3.3 MB (dense) and 4.15 MB (wide).  On the wide layout,
-1261 beams, the layout itself sets much of the peak: beams that stored
-their six corners took it to 1.18 MB and the wide peak to 2.03 MB.
+``run()`` drops, projects and writes one beam chunk at a time.  It keeps
+each UE's slant range, 8 B, and each beam's elevation extrema for the
+statistics, and counts histogram cells one block of whole beams at a time.
+Holding a whole-run UE table or footprint table again breaks these bounds:
+that design peaked at 3.3 MB (dense) and 4.15 MB (wide).  Keeping each UE's
+elevation and histogram cell as well, 24 B per UE, took the dense peak to
+0.87 MB and the growth to 18.6 B per UE.  On the wide layout, 1261 beams,
+the layout itself sets much of the peak: beams that stored their six
+corners took it to 1.18 MB and the wide peak to 2.03 MB.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import tracemalloc
 
 import pytest
 
 from test_golden import CONFIGS
-from uvbeams import build_layout
-from uvbeams.cli import run
+from uvbeams import build_layout, project_footprints
+from uvbeams.cli import preset, run
 
-PEAK_BOUND_MB = {"dense": 1.2, "wide": 1.4}
+PEAK_BOUND_MB = {"dense": 0.8, "wide": 1.4}
 LAYOUT_BOUND_MB = 0.5
+# Peak growth per added UE between two drops whose beam chunks both hold
+# about _CHUNK UEs; 8 B of it is the slant range kept for the statistics.
+GROWTH_BOUND_B_PER_UE = 14.0
+# Peak of project_footprints on a whole layout over its result's bytes.
+FOOTPRINT_PEAK_RATIO = 1.5
+
+
+def traced_peak(fn, *args):
+    """The ``tracemalloc`` peak, in bytes, of a call of ``fn`` made after a
+    first call has imported and cached what any call needs."""
+    fn(*args)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("name", sorted(PEAK_BOUND_MB))
 def test_run_peak_memory_is_bounded(name, tmp_path):
-    # A first run imports and caches what any run needs.
-    run(CONFIGS[name], tmp_path)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        run(CONFIGS[name], tmp_path)
-        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
-    assert peak_mb < PEAK_BOUND_MB[name]
+    assert traced_peak(run, CONFIGS[name], tmp_path) / 1e6 < PEAK_BOUND_MB[name]
+
+
+def test_run_peak_grows_by_at_most_the_bound_per_ue(tmp_path):
+    # 19 beams: one chunk of all 19 beams of 100 UEs, or 19 chunks of one
+    # 2000-UE beam.  Above _CHUNK UEs per beam a beam is its own chunk, so
+    # the drop chunk itself would grow with the count.
+    small, large = (
+        dataclasses.replace(preset("set1", "leo_s"), frf=3, rings=2, ues_per_beam=n) for n in (100, 2000)
+    )
+    growth = traced_peak(run, large, tmp_path) - traced_peak(run, small, tmp_path)
+    added_ues = 19 * (2000 - 100)
+    assert growth / added_ues < GROWTH_BOUND_B_PER_UE
+
+
+def test_whole_layout_footprints_peak_near_their_size():
+    config = CONFIGS["wide"]
+    layout = build_layout(config)
+    table = project_footprints(layout, config.satellite(), 8)
+    result_bytes = sum(column.nbytes for column in (table.beam_id, table.x_km, table.y_km, table.z_km))
+    del table
+    peak = traced_peak(project_footprints, layout, config.satellite(), 8)
+    assert peak < FOOTPRINT_PEAK_RATIO * result_bytes
 
 
 def test_wide_layout_size_is_bounded():

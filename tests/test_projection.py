@@ -66,6 +66,14 @@ class TestSatelliteState:
         with pytest.raises(ValueError):
             SatelliteState(re, alt)
 
+    @pytest.mark.parametrize("field", ["earth radius", "altitude"])
+    def test_int_past_the_digit_limit_is_named_by_its_size(self, field):
+        # str() of an int of more than 4300 digits raises the interpreter's
+        # own ValueError, which names no field.
+        args = (10**5000, 1.0) if field == "earth radius" else (6371.0, 10**5000)
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got an int of 16610 bits$"):
+            SatelliteState(*args)
+
 
 class TestHorizonLimit:
     def test_leo(self, leo_sat):

@@ -35,6 +35,7 @@ from uvbeams import (
     LosGeometry,
     SatelliteState,
     UeRecord,
+    UeTable,
     UvPoint,
     beam_rng,
     beam_stats,
@@ -325,6 +326,66 @@ def test_beam_stats_and_stats_json_match_reference(golden_drops, name, variant, 
     # strings takes minutes.
     text = "".join(_stats_json(stats, bins, len(ues)))
     assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+def grouped_table(sizes, seed):
+    """A :class:`UeTable` whose beam ``i`` holds ``sizes[i]`` UEs.  Half the
+    slant ranges lie on the 50-bin edges of [1200, 2000] km, both ends
+    included, and half are uniform draws; elevations are uniform draws.
+    Only the beam ids, slant ranges and elevations are read by the
+    statistics, so the other columns are zeros."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    slants = np.where(
+        np.arange(n) % 2, rng.uniform(1200.0, 2000.0, n), np.linspace(1200.0, 2000.0, 51)[np.arange(n) % 51]
+    )
+    zeros = np.zeros(n)
+    beam_ids = np.repeat(np.arange(len(sizes)), sizes)
+    return UeTable(np.arange(n), beam_ids, zeros, zeros, zeros, zeros, zeros, slants, rng.uniform(10.0, 90.0, n), zeros, zeros)
+
+
+# beam_stats counts histogram cells one block of whole beams at a time: the
+# beams that start in one _CHUNK of rows.
+GROUP_SHAPES = {
+    "one_beam_over_chunk": [2 * _CHUNK + 5],
+    "straddling_block_edges": [_CHUNK - 1, 2, 3000, 1, _CHUNK, _CHUNK + 1],
+    "one_ue_groups_over_chunk": [1] * (_CHUNK + 59),
+}
+
+
+@pytest.fixture(scope="module")
+def big_layout():
+    # 2107 beams: more one-UE beams than _CHUNK.
+    layout = build_layout(dataclasses.replace(CONFIGS["wide"], rings=26))
+    assert len(layout) == _CHUNK + 59
+    return layout
+
+
+@pytest.mark.parametrize("bins", [1, 7, 50])
+@pytest.mark.parametrize("shape", [*GROUP_SHAPES, "unsorted"])
+def test_block_counted_histograms_match_reference(big_layout, shape, bins):
+    if shape == "unsorted":
+        table = grouped_table(GROUP_SHAPES["straddling_block_edges"] + [5, 300], seed=3)
+        order = np.random.default_rng(4).permutation(len(table))
+        table = UeTable(*(column[order] for column in table.columns()))
+    else:
+        table = grouped_table(GROUP_SHAPES[shape], seed=2)
+    stats = beam_stats(table, big_layout, bins)
+    assert stats == ref_beam_stats(table, big_layout, bins)
+    assert sum(count for s in stats for _, _, count in s.histogram) == len(table)
+
+
+@pytest.mark.parametrize("ues_per_beam", [_CHUNK + 1, 2 * _CHUNK + 3])
+def test_run_stats_json_matches_reference_beyond_one_chunk_per_beam(tmp_path, ues_per_beam):
+    # Each beam is a block of its own, and its UEs span more than one _CHUNK.
+    config = dataclasses.replace(CONFIGS["odd"], rings=1, ues_per_beam=ues_per_beam)
+    layout = build_layout(config)
+    assert len(layout) == 7
+    run(config, tmp_path, bins=50, edge_samples=1)
+    ues = drop_ues(layout, config.satellite(), ues_per_beam, config.seed)
+    expected = json.dumps(ref_stats_doc(ref_beam_stats(ues, layout, 50), 50, len(ues)), indent=2) + "\n"
+    got = (tmp_path / "stats.json").read_text(encoding="utf-8")
+    assert got.splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 
 def horizon_points(limit):
