@@ -21,10 +21,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import __version__
-from .analysis import BeamStats, _beam_chunks, _beam_stats, project_footprints
+from .analysis import BeamStats, _beam_chunks, _beam_stats, project_footprints, scenario_summary
 from .deployment import RNG_ALGORITHM, RNG_STREAM_RULE, drop_ues
-from .layout import BeamLayout, BeamRole, ScenarioConfig, _check_count, build_layout
-from .projection import HorizonError, SatelliteState, horizon_limit
+from .layout import BeamLayout, ScenarioConfig, _check_count, build_layout
+from .projection import HorizonError, SatelliteState
 
 __all__ = [
     "GEO_ALTITUDE_KM",
@@ -229,6 +229,9 @@ def _write(path: Path, chunks: Iterable[str]) -> None:
 def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int = 8) -> RunManifest:
     """Run the full pipeline and write the output files into ``out_dir``.
 
+    Every check and every whole-run allocation comes before ``out_dir`` is
+    made: a drop whose UE ids would pass ``2**63``, or whose slant ranges
+    cannot be allocated, raises :class:`ValueError` with nothing written.
     Each file is replaced atomically.  A stale manifest is removed before the
     data files are written and the new one is written last, so a run that
     fails partway leaves no manifest beside data files it does not describe.
@@ -237,6 +240,14 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
     _check_count("bins", bins)
     _check_count("samples_per_edge", edge_samples)
     sat = config.satellite()
+    # The statistics need only each UE's slant range and each beam's
+    # elevation extrema.
+    n = config.ues_per_beam
+    _check_count("beams * ues_per_beam", len(layout) * n)
+    try:
+        slants, extrema = np.empty(len(layout) * n), np.empty((2, len(layout)))
+    except (MemoryError, ValueError):  # NumPy raises ValueError past its size limit
+        raise ValueError(f"ues_per_beam={n} needs {8 * len(layout) * n} bytes of slant ranges, which cannot be allocated") from None
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -245,10 +256,6 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
     # CSV floats carry 9 significant digits; + 0.0 turns -0.0 into 0.0.
     beams = (_BEAMS_ROW % (b.id, b.index.q, b.index.r, b.center_uv.u + 0.0, b.center_uv.v + 0.0, b.color, b.role.value) for b in layout)
     _write(out_dir / "beams.csv", (BEAMS_CSV_HEADER + "\n", *beams))
-    # The statistics need only each UE's slant range and each beam's
-    # elevation extrema.
-    n = config.ues_per_beam
-    slants, extrema = np.empty(len(layout) * n), np.empty((2, len(layout)))
     _write(out_dir / "ues.csv", _csv(UES_CSV_HEADER, _UES_ROW, _ue_tables(layout, sat, n, config.seed, slants, extrema)))
     footprints = (project_footprints(chunk, sat, edge_samples).columns() for _, chunk in _beam_chunks(layout, 6 * edge_samples + 1))
     _write(out_dir / "footprints.csv", _csv(FOOTPRINTS_CSV_HEADER, _FOOTPRINTS_ROW, footprints))
@@ -258,17 +265,11 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
     del slants, extrema  # not needed to format stats.json
     _write(out_dir / "stats.json", _stats_json(stats, bins, len(layout) * n))
 
+    summary = dataclasses.asdict(scenario_summary(config))
     manifest = RunManifest(
         version=__version__,
         config=_config_dict(config),
-        derived={
-            "beam_radius": layout.beam_radius,
-            "adjacent_beam_spacing": layout.spacing,
-            "center_offset_u": layout.center_offset_u,
-            "horizon_limit": horizon_limit(sat),
-            "beam_count": len(layout),
-            "statistics_beam_count": sum(beam.role is BeamRole.STATISTICS for beam in layout),
-        },
+        derived={"adjacent_beam_spacing" if key == "spacing" else key: value for key, value in summary.items()},
         rng={
             "generator": RNG_ALGORITHM,
             "stream_rule": RNG_STREAM_RULE,

@@ -8,9 +8,11 @@ by :func:`_stream_states`.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -38,6 +40,8 @@ _MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# UEs whose decoded draws become Python numbers at once in drop_ues.
+_BLOCK = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,25 +225,63 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
     """Drop ``ues_per_beam`` uniform UEs in every beam and project them.
 
     UE ids are ``beam_id * ues_per_beam + k`` so they are stable under any
-    iteration order.  ``seed`` must be an unsigned 64-bit integer, else
-    :class:`ValueError` before any draw.  A
-    :class:`~uvbeams.projection.HorizonError` from the projection would
-    indicate a layout built past the horizon guard and is propagated as-is.
+    iteration order; ids past ``2**63`` are rejected by the count rule.
+    ``seed`` must be an unsigned 64-bit integer, else :class:`ValueError`
+    before any draw.  A :class:`~uvbeams.projection.HorizonError` from the
+    projection would indicate a layout built past the horizon guard and is
+    propagated as-is.
+
+    The draws are not made by a ``Generator``: each beam's raw PCG64 outputs
+    are read at once and decoded as NumPy's ``integers(6)`` (Lemire's
+    multiply-shift on a 32-bit half word) and ``random()`` would decode them,
+    5 outputs per pair of UEs.  A beam whose draw would take Lemire's
+    rejection branch (about 1e-9 per UE) is drawn by :func:`beam_rng`
+    instead.  Every UE is still placed by one call of
+    :func:`sample_point_in_hexagon`, fed the decoded values in its draw
+    order: the fan-triangle arithmetic keeps one implementation, and a trace
+    of the drop still counts one sampler call per UE.
     """
     _check_count("ues_per_beam", ues_per_beam)
     _check_count("seed", seed)
     beam_ids = [beam.id for beam in layout.beams]
+    _check_count("beams * ues_per_beam", (max(beam_ids, default=0) + 1) * ues_per_beam)
+    n = ues_per_beam
+    count = len(beam_ids) * n
     # One bit generator serves every beam: the for target sets it to the
-    # beam's stream, which also clears the buffered 32-bit half word.
+    # beam's stream.  A pair of UEs reads 5 outputs: the triangle indices
+    # from the low and high 32-bit halves of the first, then two uniforms
+    # each, (raw >> 11) * 2**-53 as in NumPy's next_double.
     bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    draws = (
-        sample_point_in_hexagon(beam.center_uv, layout.beam_radius, rng)
-        for beam, bit_generator.state in zip(layout.beams, _stream_states(seed, beam_ids))
-        for _ in range(ues_per_beam)
+    raw = np.empty((len(beam_ids), 5 * (n // 2) + 3 * (n % 2)), np.uint64)
+    for i, bit_generator.state in enumerate(_stream_states(seed, beam_ids)):
+        raw[i] = bit_generator.random_raw(raw.shape[1])
+    scaled = np.ascontiguousarray(raw[:, ::5], "<u8").view("<u4")[:, :n].astype(np.uint64) * 6
+    triangles = scaled >> 32
+    # compress keeps the rows C-ordered, as raw[:, mask] does not, so each
+    # block taken from the flattened columns below is a view, not a copy.
+    uniforms = (raw.compress(np.arange(raw.shape[1]) % 5 != 0, axis=1) >> 11) * 2.0**-53
+    del raw
+    # Lemire's method redraws when the low word of scaled is below
+    # 2**32 % 6 == 4; such a beam is drawn by its Generator instead.
+    for row in np.flatnonzero(((scaled & _MASK32) < 4).any(axis=1)):
+        rng = beam_rng(seed, beam_ids[row])
+        for j in range(n):
+            triangles[row, j] = rng.integers(6)
+            uniforms[row, 2 * j : 2 * j + 2] = rng.random(), rng.random()
+    del scaled
+    # The sampler's Generator is stood in for by the decoded values, served
+    # in call order and made Python numbers one block of UEs at a time.
+    triangle_values = itertools.chain.from_iterable(
+        triangles.ravel()[i : i + _BLOCK].tolist() for i in range(0, count, _BLOCK)
     )
-    count = len(layout) * ues_per_beam
-    u, v = np.fromiter(((p.u, p.v) for p in draws), np.dtype((np.float64, 2)), count).T.copy()
+    uniform_values = itertools.chain.from_iterable(
+        uniforms.ravel()[2 * i : 2 * i + 2 * _BLOCK].tolist() for i in range(0, count, _BLOCK)
+    )
+    draws = SimpleNamespace(integers=lambda high: next(triangle_values), random=uniform_values.__next__)
+    centres = itertools.chain.from_iterable(itertools.repeat(beam.center_uv, n) for beam in layout.beams)
+    points = map(sample_point_in_hexagon, centres, itertools.repeat(layout.beam_radius), itertools.repeat(draws))
+    u, v = np.fromiter(((p.u, p.v) for p in points), np.dtype((np.float64, 2)), count).T.copy()
+    del triangles, uniforms, triangle_values, uniform_values, draws, points  # released before the projection
     # math.degrees is this one multiply, so the columns keep its bits.
     to_degrees = 180.0 / math.pi
 
@@ -249,3 +291,4 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
     beam_id_column = np.repeat(np.array(beam_ids, np.int64), ues_per_beam)
     ue_ids = beam_id_column * ues_per_beam + np.tile(np.arange(ues_per_beam), len(layout))
     return UeTable(ue_ids, beam_id_column, u, v, *_project_columns(u, v, sat, ground_and_link))
+

@@ -211,6 +211,8 @@ _COUNT_RANGE = {
     "samples_per_edge": (1, math.inf),
     "seed": (0, 2**64),
     "beam_id": (0, 2**32),
+    # UE ids beam_id * ues_per_beam + k fit in int64.
+    "beams * ues_per_beam": (1, 2**63),
 }
 
 

@@ -17,7 +17,7 @@ import pytest
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 import uvbeams
-from uvbeams import HorizonError, ScenarioConfig, preset, run, scenario_summary
+from uvbeams import BeamRole, HorizonError, ScenarioConfig, build_layout, horizon_limit, preset, run, scenario_summary
 from uvbeams.cli import (
     BEAMS_CSV_HEADER,
     FOOTPRINTS_CSV_HEADER,
@@ -225,11 +225,20 @@ class TestRun:
 
     @pytest.mark.parametrize("config", DERIVED_CASES.values(), ids=DERIVED_CASES.keys())
     def test_manifest_derived_matches_scenario_summary(self, tmp_path, config):
-        # The manifest reads its constants off the built layout; the
-        # layout-free scenario_summary must give the same bits.
+        # The manifest reads its constants off the layout-free
+        # scenario_summary; the built layout must give the same values.
         manifest = run(config, tmp_path, bins=2, edge_samples=1)
         expected = dataclasses.asdict(scenario_summary(config))
         expected["adjacent_beam_spacing"] = expected.pop("spacing")
+        layout = build_layout(config)
+        assert expected == {
+            "beam_radius": layout.beam_radius,
+            "center_offset_u": layout.center_offset_u,
+            "horizon_limit": horizon_limit(config.satellite()),
+            "beam_count": len(layout),
+            "statistics_beam_count": sum(beam.role is BeamRole.STATISTICS for beam in layout),
+            "adjacent_beam_spacing": layout.spacing,
+        }
         assert manifest.derived == expected
         assert json.loads((tmp_path / "manifest.json").read_text())["derived"] == expected
 
@@ -442,6 +451,24 @@ class TestMain:
         assert "horizon" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rings,ues_per_beam", [(0, 2**63), (1, 2**63 // 7 + 1), (6, 2**62)])
+    def test_ue_ids_past_2_63_rejected_before_any_file(self, tmp_path, capsys, rings, ues_per_beam):
+        out = tmp_path / "o"
+        argv = ["--preset", "set1:leo_s", "--rings", str(rings), "--ues-per-beam", str(ues_per_beam), "--out", str(out)]
+        assert main(argv) == 1
+        assert "beams * ues_per_beam must be at least 1 and below 2**63" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ues_per_beam", [10**12, 2**63 - 1])
+    def test_drop_too_large_to_allocate_raises_before_out_dir(self, tmp_path, ues_per_beam):
+        # Past any address space, so the allocation fails at once; 2**63 - 1
+        # UEs pass the id rule and are too big for NumPy to size.
+        out = tmp_path / "o"
+        config = dataclasses.replace(preset("set1", "leo_s"), rings=0, ues_per_beam=ues_per_beam)
+        with pytest.raises(ValueError, match=f"ues_per_beam={ues_per_beam} needs {8 * ues_per_beam} bytes"):
+            run(config, out)
+        assert not out.exists()
+
 
 class TestModuleEntryPoint:
     def _run(self, *args):
@@ -469,3 +496,14 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 1
         assert "altitude" in proc.stderr
+
+    def test_drop_too_large_to_allocate_exits_1_with_nothing_written(self, tmp_path):
+        # 61 beams x 10**12 UEs need 488 TB of slant ranges.
+        out = tmp_path / "o"
+        proc = self._run("--preset", "set1:leo_s", "--ues-per-beam", str(10**12), "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "uvbeams: error: ues_per_beam=1000000000000 needs 488000000000000 bytes"
+            " of slant ranges, which cannot be allocated\n"
+        )
+        assert not out.exists()

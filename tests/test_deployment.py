@@ -20,7 +20,7 @@ from uvbeams import (
     sample_point_in_hexagon,
     uv_to_earth,
 )
-from uvbeams.deployment import _stream_states
+from uvbeams.deployment import _PCG64_MULT, _stream_states
 
 # Upper 0.001 quantile of chi-square with 5 degrees of freedom.
 CHI2_CRIT_5DOF_P001 = 20.515
@@ -274,6 +274,81 @@ class TestDropUes:
     def test_non_integer_ue_count(self, leo_sat, frf1_layout, count):
         with pytest.raises(ValueError, match="ues_per_beam must be an integer"):
             drop_ues(frf1_layout, leo_sat, count, seed=0)
+
+    def test_ue_ids_past_2_63_rejected_before_any_draw(self, leo_sat, frf1_layout, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a UE")
+
+        monkeypatch.setattr(uvbeams.deployment, "_stream_states", no_draw)
+        # One beam of id 6: its ids reach 7 * ues_per_beam - 1.
+        layout = dataclasses.replace(frf1_layout, beams=frf1_layout.beams[6:7])
+        with pytest.raises(ValueError, match=r"beams \* ues_per_beam must be at least 1 and below 2\*\*63"):
+            drop_ues(layout, leo_sat, 2**63 // 7 + 1, seed=0)
+
+
+class TestRawDecode:
+    """drop_ues decodes raw PCG64 outputs as ``integers(6)`` and ``random()``
+    would.  A beam whose triangle draw takes Lemire's rejection branch, a
+    32-bit half word ``h`` with ``h * 6 % 2**32 < 4``, must be drawn by a
+    real Generator.  Such states are crafted: PCG64 steps its LCG before each
+    output, so the pre-step state ``(S1 - inc) * M**-1`` makes the first
+    output the XSL-RR of ``S1``.  ``S1 = 0`` gives output 0, which rejects the
+    first UE's low half; ``S1 = 0x12345678`` gives an output whose high half
+    is 0, which rejects the second UE's.  ``h * 6`` is even, so the only
+    other rejected residue is 2: ``S1 = 715827883`` gives that low half, read
+    with one UE per beam so that the zero high half is not."""
+
+    SEED = 21
+    TARGET = 2  # index of the crafted beam in a 5-beam sub-layout
+
+    @staticmethod
+    def crafted_state(beam_id, post_step):
+        state = next(_stream_states(TestRawDecode.SEED, [beam_id]))
+        inc = state["state"]["inc"]
+        state["state"]["state"] = (post_step - inc) * pow(_PCG64_MULT, -1, 2**128) % 2**128
+        return state
+
+    @pytest.mark.parametrize(
+        "post_step,rejected_ue,ues_per_beam",
+        [
+            (0, 0, 1),
+            (0, 0, 2),
+            (0, 0, 7),
+            (0x12345678, 1, 2),
+            (0x12345678, 1, 3),
+            (0x12345678, 1, 8),
+            (715827883, 0, 1),
+        ],
+    )
+    def test_rejected_beam_is_drawn_by_its_generator(
+        self, leo_sat, frf1_layout, monkeypatch, post_step, rejected_ue, ues_per_beam
+    ):
+        n = ues_per_beam
+        layout = dataclasses.replace(frf1_layout, beams=frf1_layout.beams[10:15])
+        target = layout.beams[self.TARGET]
+        crafted = self.crafted_state(target.id, post_step)
+        real_streams = _stream_states
+
+        def streams(seed, beam_ids):
+            for beam_id, state in zip(beam_ids, real_streams(seed, beam_ids)):
+                yield crafted if beam_id == target.id else state
+
+        before = drop_ues(layout, leo_sat, n, self.SEED)
+        monkeypatch.setattr(uvbeams.deployment, "_stream_states", streams)
+        after = drop_ues(layout, leo_sat, n, self.SEED)
+
+        # The crafted first output's half word takes the rejection branch.
+        probe = np.random.PCG64()
+        probe.state = crafted
+        half = int(probe.random_raw()) >> 32 * rejected_ue & 0xFFFFFFFF
+        assert half * 6 % 2**32 < 4
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = crafted
+        expected = [sample_point_in_hexagon(target.center_uv, layout.beam_radius, rng) for _ in range(n)]
+        rows = slice(self.TARGET * n, (self.TARGET + 1) * n)
+        assert [ue.uv for ue in after[rows]] == expected
+        assert after[: rows.start] == before[: rows.start]
+        assert after[rows.stop :] == before[rows.stop :]
 
 
 class TestUeTable:

@@ -6,13 +6,15 @@ the suite stays deterministic.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from test_golden import CONFIGS  # noqa: E402
 from uvbeams import (  # noqa: E402
@@ -31,6 +33,7 @@ from uvbeams import (  # noqa: E402
     sample_point_in_hexagon,
     uv_to_earth,
 )
+from uvbeams.cli import PRESET_BEAMWIDTH_DEG, preset  # noqa: E402
 from uvbeams.projection import _project_columns  # noqa: E402
 
 deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -45,6 +48,8 @@ satellites = st.builds(
 fractions = st.floats(0.0, 0.999999)
 angles = st.floats(-math.pi, math.pi)
 finite = st.floats(-1e3, 1e3)
+# The edges of the seed range, or any unsigned 64-bit seed.
+seeds = st.sampled_from([0, 1, 2**63 + 5, 2**64 - 1]) | st.integers(0, 2**64 - 1)
 
 
 def uv_at(sat: SatelliteState, fraction: float, angle: float) -> UvPoint:
@@ -165,3 +170,36 @@ def test_scenario_config_rejects_nan(field):
     with pytest.raises(ValueError):
         ScenarioConfig(**kwargs)
 
+
+@functools.cache
+def preset_layout(key, frf):
+    """The layout of a preset at a reuse factor, or None past the horizon."""
+    config = dataclasses.replace(preset(*key), frf=frf)
+    try:
+        return build_layout(config), config.satellite()
+    except HorizonError:
+        return None
+
+
+@deterministic
+@given(
+    key=st.sampled_from(sorted(PRESET_BEAMWIDTH_DEG)),
+    frf=st.sampled_from([1, 3]),
+    seed=seeds,
+    ues_per_beam=st.integers(1, 40),
+    data=st.data(),
+)
+def test_drop_decodes_the_draws_of_each_beams_generator(key, frf, seed, ues_per_beam, data):
+    # drop_ues decodes raw PCG64 outputs in bulk; every beam's UEs must be
+    # the scalar sampler's points on that beam's own Generator.
+    built = preset_layout(key, frf)
+    assume(built is not None)
+    layout, sat = built
+    picks = data.draw(st.lists(st.integers(0, len(layout) - 1), min_size=1, max_size=8, unique=True))
+    beams = tuple(layout.beams[i] for i in picks)
+    ues = drop_ues(dataclasses.replace(layout, beams=beams), sat, ues_per_beam, seed)
+    expected = []
+    for beam in beams:
+        rng = beam_rng(seed, beam.id)
+        expected += [sample_point_in_hexagon(beam.center_uv, layout.beam_radius, rng) for _ in range(ues_per_beam)]
+    assert [ue.uv for ue in ues] == expected
