@@ -3,9 +3,7 @@ constants for reporting."""
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
@@ -144,8 +142,8 @@ def _beam_stats(
     ``group_ids[i]``, is the rows from ``starts[i]`` to the next start, and
     ``elevation_extrema[0][i]`` and ``elevation_extrema[1][i]`` are its least
     and greatest elevation.  The caller has checked the input.  A group is a
-    contiguous slice, so its mean has the bits of the beam's own array:
-    ``ndarray.mean`` is the same pairwise sum followed by one division."""
+    contiguous slice, and its histogram and mean are taken from it; the mean
+    has the bits of ``ndarray.mean``, the same pairwise sum and division."""
     roles = {beam.id: beam.role for beam in layout.beams}
     unknown = [beam_id for beam_id in group_ids if beam_id not in roles]
     if unknown:
@@ -155,22 +153,15 @@ def _beam_stats(
     hi = float(slants.max())
     # When every slant is equal, linspace gives the one bin [lo, lo].
     bins = bins if hi > lo else 1
-    # np.histogram's edge rule: bin i holds edges[i] <= x < edges[i + 1], and
-    # the last bin is closed on the right.  Each UE's cell is group * bins +
-    # bin.  Cells are counted one block of whole groups at a time: the groups
-    # that start in one _CHUNK of rows.  Blocks hold disjoint, ascending
-    # cells, so their sorted runs, joined, are those of one sort of all.
+    # np.histogram's rule, edges[i] <= x < edges[i + 1] and the last bin
+    # closed: x's bin is the count of inner edges <= x, even where edges repeat.
     edges = np.linspace(lo, hi, bins + 1)
-    blocks = np.flatnonzero(np.diff(starts // _CHUNK, prepend=-1)).tolist() + [len(starts)]
-    runs = []
-    for first, last in zip(blocks, blocks[1:]):
-        cell = np.repeat(np.arange(first * bins, last * bins, bins), np.diff(bounds[first : last + 1]))
-        bin_of_ue = np.searchsorted(edges, slants[bounds[first] : bounds[last]], "right") - 1
-        cell += np.minimum(bin_of_ue, bins - 1, out=bin_of_ue)
-        runs.append(np.unique(cell, return_counts=True))
-    cells, counts = map(np.concatenate, zip(*runs))
-    del runs, cell, bin_of_ue
-
+    inner = edges[1:-1]
+    # Every histogram shares one empty cell tuple per bin, and beams with
+    # equal counts share one histogram; both are immutable.
+    empty = [(a, b, 0) for a, b in zip(edges[:-1].tolist(), edges[1:].tolist())]
+    shared: dict[bytes, tuple] = {}
+    stats = []
     columns = zip(
         group_ids,
         starts.tolist(),
@@ -178,46 +169,26 @@ def _beam_stats(
         np.minimum.reduceat(slants, starts).tolist(),
         np.maximum.reduceat(slants, starts).tolist(),
         *elevation_extrema.tolist(),
-        _histograms(cells, counts, edges[:-1].tolist(), edges[1:].tolist()),
     )
-    return [
-        BeamStats(
-            beam_id=beam_id,
-            role=roles[beam_id],
-            ue_count=end - start,
-            min_slant_km=min_slant,
-            max_slant_km=max_slant,
-            mean_slant_km=float(slants[start:end].sum()) / (end - start),
-            min_elevation_deg=min_elev,
-            max_elevation_deg=max_elev,
-            histogram=histogram,
+    for beam_id, start, end, min_slant, max_slant, min_elev, max_elev in columns:
+        counts = np.bincount(np.searchsorted(inner, slants[start:end], "right"), minlength=bins)
+        key = counts.tobytes()
+        if key not in shared:
+            shared[key] = tuple((*cell[:2], count) if count else cell for cell, count in zip(empty, counts.tolist()))
+        stats.append(
+            BeamStats(
+                beam_id=beam_id,
+                role=roles[beam_id],
+                ue_count=end - start,
+                min_slant_km=min_slant,
+                max_slant_km=max_slant,
+                mean_slant_km=float(slants[start:end].sum()) / (end - start),
+                min_elevation_deg=min_elev,
+                max_elevation_deg=max_elev,
+                histogram=shared[key],
+            )
         )
-        for beam_id, start, end, min_slant, max_slant, min_elev, max_elev, histogram in columns
-    ]
-
-
-def _histograms(cells: np.ndarray, counts: np.ndarray, bin_lo: list[float], bin_hi: list[float]) -> Iterator[tuple]:
-    """One ``(lo, hi, count)`` histogram per row, from the sorted non-empty
-    cells ``row * bins + bin`` and their counts; every row has at least one.
-
-    Every histogram starts from one shared row of empty cells; only the
-    non-empty cells get tuples of their own, and rows with equal non-empty
-    cells share one histogram.  Cells and histograms are immutable, so
-    sharing them is safe.
-    """
-    empty = [(lo, hi, 0) for lo, hi in zip(bin_lo, bin_hi)]
-    shared: dict[tuple, tuple] = {}
-    row_of_cell, bin_of_cell = np.divmod(cells, len(bin_lo))
-    entries = zip(row_of_cell.tolist(), bin_of_cell.tolist(), counts.tolist())
-    for _, row_cells in itertools.groupby(entries, key=operator.itemgetter(0)):
-        _, js, row_counts = zip(*row_cells)
-        histogram = shared.get((js, row_counts))
-        if histogram is None:
-            row = empty.copy()
-            for j, count in zip(js, row_counts):
-                row[j] = (bin_lo[j], bin_hi[j], count)
-            histogram = shared[js, row_counts] = tuple(row)
-        yield histogram
+    return stats
 
 
 def _beam_chunks(layout: BeamLayout, per_beam: int) -> Iterator[tuple[int, BeamLayout]]:

@@ -11,6 +11,7 @@ import argparse
 import collections
 import dataclasses
 import inspect
+import itertools
 import json
 import os
 import sys
@@ -141,7 +142,7 @@ def _stats_json(stats: list[BeamStats], bins: int, ue_count: int) -> Iterator[st
     slant extrema, and one object per beam with its histogram as
     ``[lo, hi, count]`` lists.  The bin grid, shared by every beam, is
     rendered once, and so is each distinct histogram object: beams with equal
-    histograms share one (see ``analysis._histograms``).
+    histograms share one (see ``analysis._beam_stats``).
     """
     yield _STATS_HEAD % (
         bins,
@@ -184,11 +185,12 @@ def _stats_json(stats: list[BeamStats], bins: int, ue_count: int) -> Iterator[st
 def _csv(header: str, template: str, tables: Iterable[list[np.ndarray]]) -> Iterator[str]:
     """``header``, then one ``template % row`` line per row of each table in
     ``tables``, a list of columns, joined :data:`_ROWS_PER_WRITE` lines to a
-    string; ``+ 0.0`` turns a float -0.0 into 0.0.  A table is released
-    before the next one is made."""
+    string.  It consumes its tables: ``c + 0.0``, which turns -0.0 into 0.0,
+    replaces each float column ``c`` inside its list, so a chunk's float
+    columns exist once, and a table is released before the next is made."""
     yield header + "\n"
     for columns in tables:
-        columns = [c + 0.0 if c.dtype.kind == "f" else c for c in columns]
+        columns[:] = [c + 0.0 if c.dtype.kind == "f" else c for c in columns]
         for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
             rows = zip(*(c[start : start + _ROWS_PER_WRITE].tolist() for c in columns))
             yield "".join(map(template.__mod__, rows))
@@ -208,8 +210,10 @@ def _ue_tables(
         slants[start * ues_per_beam : start * ues_per_beam + len(ues)] = ues.slant_range_km
         beams = np.arange(0, len(ues), ues_per_beam)
         extrema[:, start : start + len(chunk)] = [f.reduceat(ues.elevation_deg, beams) for f in (np.minimum, np.maximum)]
-        yield ues.columns()
-        del ues  # released before the next chunk is dropped
+        columns = ues.columns()
+        del ues  # the list alone holds the columns that _csv replaces
+        yield columns
+        del columns  # released before the next chunk is dropped
 
 
 def _write(path: Path, chunks: Iterable[str]) -> None:
@@ -255,7 +259,7 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
 
     # CSV floats carry 9 significant digits; + 0.0 turns -0.0 into 0.0.
     beams = (_BEAMS_ROW % (b.id, b.index.q, b.index.r, b.center_uv.u + 0.0, b.center_uv.v + 0.0, b.color, b.role.value) for b in layout)
-    _write(out_dir / "beams.csv", (BEAMS_CSV_HEADER + "\n", *beams))
+    _write(out_dir / "beams.csv", itertools.chain([BEAMS_CSV_HEADER + "\n"], beams))
     _write(out_dir / "ues.csv", _csv(UES_CSV_HEADER, _UES_ROW, _ue_tables(layout, sat, n, config.seed, slants, extrema)))
     footprints = (project_footprints(chunk, sat, edge_samples).columns() for _, chunk in _beam_chunks(layout, 6 * edge_samples + 1))
     _write(out_dir / "footprints.csv", _csv(FOOTPRINTS_CSV_HEADER, _FOOTPRINTS_ROW, footprints))

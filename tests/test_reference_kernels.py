@@ -344,8 +344,9 @@ def grouped_table(sizes, seed):
     return UeTable(np.arange(n), beam_ids, zeros, zeros, zeros, zeros, zeros, slants, rng.uniform(10.0, 90.0, n), zeros, zeros)
 
 
-# beam_stats counts histogram cells one block of whole beams at a time: the
-# beams that start in one _CHUNK of rows.
+# Beam groups around _CHUNK rows, the unit in which run() drops and projects
+# UEs: one beam over two chunks, groups straddling chunk edges, and more
+# one-UE beams than a chunk holds.
 GROUP_SHAPES = {
     "one_beam_over_chunk": [2 * _CHUNK + 5],
     "straddling_block_edges": [_CHUNK - 1, 2, 3000, 1, _CHUNK, _CHUNK + 1],
@@ -375,9 +376,24 @@ def test_block_counted_histograms_match_reference(big_layout, shape, bins):
     assert sum(count for s in stats for _, _, count in s.histogram) == len(table)
 
 
+@pytest.mark.parametrize("bins", [2, 7, 50, 333])
+@pytest.mark.parametrize("ulps", [1, 2, 3, 7, 50])
+def test_histograms_on_grids_with_repeated_edges_match_reference(ulps, bins):
+    # Slant ranges a few ulps apart: the bin grid over them repeats edges,
+    # and every distinct edge value is also a slant, three times over.
+    layout = build_layout(dataclasses.replace(CONFIGS["odd"], rings=1))
+    hi = 1500.0 + ulps * math.ulp(1500.0)
+    slants = np.repeat(np.unique(np.linspace(1500.0, hi, 51)), 3)
+    n = len(slants)
+    beam_ids = np.array([beam.id for beam in layout.beams])[np.arange(n) % len(layout)]
+    zeros = np.zeros(n)
+    table = UeTable(np.arange(n), beam_ids, zeros, zeros, zeros, zeros, zeros, slants, np.full(n, 45.0), zeros, zeros)
+    assert beam_stats(table, layout, bins) == ref_beam_stats(table, layout, bins)
+
+
 @pytest.mark.parametrize("ues_per_beam", [_CHUNK + 1, 2 * _CHUNK + 3])
 def test_run_stats_json_matches_reference_beyond_one_chunk_per_beam(tmp_path, ues_per_beam):
-    # Each beam is a block of its own, and its UEs span more than one _CHUNK.
+    # Each beam is a drop chunk of its own, and its UEs span more than one _CHUNK.
     config = dataclasses.replace(CONFIGS["odd"], rings=1, ues_per_beam=ues_per_beam)
     layout = build_layout(config)
     assert len(layout) == 7
