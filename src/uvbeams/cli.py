@@ -94,16 +94,12 @@ def preset(set_name: str, scenario: str) -> ScenarioConfig:
     )
 
 
-def _config_dict(config: ScenarioConfig) -> dict:
-    out = dataclasses.asdict(config)
-    out["rings"] = config.ring_count
-    return out
-
-
 # The text json.dump(doc, f, indent=2) writes for the stats document, as
 # %-templates.  Floats go through %r, which is float.__repr__, the form json
 # uses for finite floats; the pipeline's slant ranges and elevations are
-# always finite.  Role values are plain identifiers that need no escaping.
+# always finite, since SatelliteState bounds the orbit radius so that no
+# square in the slant range overflows.  Role values are plain identifiers
+# that need no escaping.
 _STATS_HEAD = """{
   "bins": %d,
   "global": {
@@ -142,17 +138,15 @@ def _stats_json(stats: list[BeamStats], bins: int, ue_count: int) -> Iterator[st
     slant extrema, and one object per beam with its histogram as
     ``[lo, hi, count]`` lists.  The bin grid, shared by every beam, is
     rendered once, and so is each distinct histogram object: beams with equal
-    histograms share one (see ``analysis._beam_stats``).
+    histograms share one (see ``analysis._beam_stats``).  The global extrema
+    are the ends of that grid.
     """
-    yield _STATS_HEAD % (
-        bins,
-        ue_count,
-        min(s.min_slant_km for s in stats),
-        max(s.max_slant_km for s in stats),
-    )
-    # beam_stats puts every beam on one bin grid: its text, with a %d per
+    # beam_stats spans one bin grid over the global slant range with
+    # linspace, which keeps both ends exactly.  Its text, with a %d per
     # count, is rendered once.
-    template = ",\n".join(_STATS_BIN % (lo, hi) for lo, hi, _ in stats[0].histogram)
+    grid = stats[0].histogram
+    yield _STATS_HEAD % (bins, ue_count, grid[0][0], grid[-1][1])
+    template = ",\n".join(_STATS_BIN % (lo, hi) for lo, hi, _ in grid)
     # The text of a histogram that later beams share is kept, by id, until
     # its last use; ``stats`` keeps every histogram alive meanwhile.
     uses_left = collections.Counter(id(s.histogram) for s in stats)
@@ -272,7 +266,7 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
     summary = dataclasses.asdict(scenario_summary(config))
     manifest = RunManifest(
         version=__version__,
-        config=_config_dict(config),
+        config={**dataclasses.asdict(config), "rings": config.ring_count},
         derived={"adjacent_beam_spacing" if key == "spacing" else key: value for key, value in summary.items()},
         rng={
             "generator": RNG_ALGORITHM,

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .layout import _CORNER_UNIT, BeamLayout, _check_count
-from .projection import _CHUNK, GroundPoint, SatelliteState, UvPoint, _project_columns, _shown
+from .projection import GroundPoint, SatelliteState, UvPoint, _project_columns, _shown
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -93,15 +93,11 @@ class UeTable:
     def __getitem__(self, index):
         if isinstance(index, slice):
             return UeTable(*(c[index] for c in self.columns()))
-        i = range(len(self))[index]
-        return next(iter(self[i : i + 1]))
+        ue_id, beam_id, u, v, x, y, z, *link = (c[index].item() for c in self.columns())
+        return UeRecord(ue_id, beam_id, UvPoint(u, v), GroundPoint(x, y, z), *link)
 
     def __iter__(self) -> Iterator[UeRecord]:
-        columns = self.columns()
-        for start in range(0, len(self), _CHUNK):
-            rows = zip(*(c[start : start + _CHUNK].tolist() for c in columns))
-            for ue_id, beam_id, u, v, x, y, z, *link in rows:
-                yield UeRecord(ue_id, beam_id, UvPoint(u, v), GroundPoint(x, y, z), *link)
+        return map(self.__getitem__, range(len(self)))
 
     def __eq__(self, other):
         return isinstance(other, UeTable) and all(map(np.array_equal, self.columns(), other.columns()))

@@ -159,12 +159,16 @@ class BeamLayout:
 
 
 def beam_radius(beamwidth_3db_deg: float) -> float:
-    """Beam circumradius on the UV-plane: sine of half the 3 dB beamwidth."""
+    """Beam circumradius on the UV-plane: sine of half the 3 dB beamwidth.
+    A beamwidth so small that the sine rounds to 0 raises :class:`ValueError`."""
     if not 0.0 < beamwidth_3db_deg < 180.0:
         raise ValueError(
             f"3 dB beamwidth must lie in (0, 180) degrees, got {_shown(beamwidth_3db_deg)}"
         )
-    return math.sin(math.radians(beamwidth_3db_deg) / 2.0)
+    radius = math.sin(math.radians(beamwidth_3db_deg) / 2.0)
+    if radius == 0.0:
+        raise ValueError(f"3 dB beamwidth {beamwidth_3db_deg} degrees is too small: its UV radius rounds to 0")
+    return radius
 
 
 def adjacent_beam_spacing(beamwidth_3db_deg: float) -> float:

@@ -86,6 +86,11 @@ class SatelliteState:
             )
         if not 0.0 < self.altitude_km <= sys.float_info.max:
             raise ValueError(f"altitude must be positive and finite, got {_shown(self.altitude_km)}")
+        # The slant range squares the orbit radius's parts; past the square
+        # root of the largest float a square overflows to inf.
+        bound = math.sqrt(sys.float_info.max)
+        if not self.orbit_radius_km <= bound:
+            raise ValueError(f"orbit radius must be at most {bound:.5g} km, got {_shown(self.orbit_radius_km)}")
 
     @property
     def orbit_radius_km(self) -> float:

@@ -187,6 +187,20 @@ class TestRun:
         assert echo["beamwidth_3db_deg"] == float(np.float32(4.4127))
         assert echo["altitude_km"] == 1200.0 and type(echo["altitude_km"]) is float
 
+    def test_orbit_radius_near_the_bound_writes_strict_json(self, tmp_path):
+        # Every square the slant range takes stays a finite float, so
+        # stats.json holds no Infinity or NaN and no CSV cell is inf or nan.
+        cfg = ScenarioConfig(beamwidth_3db_deg=4.4127, altitude_km=1200.0, earth_radius_km=1.3e154, rings=1, ues_per_beam=3)
+        run(cfg, tmp_path)
+
+        def reject(constant):
+            raise AssertionError(f"stats.json holds {constant}")
+
+        json.loads((tmp_path / "stats.json").read_text(), parse_constant=reject)
+        for name in ("ues.csv", "footprints.csv"):
+            text = (tmp_path / name).read_text()
+            assert "inf" not in text and "nan" not in text, name
+
     def test_python_int_altitude_echoed_as_int(self, tmp_path):
         cfg = ScenarioConfig(beamwidth_3db_deg=4.4127, altitude_km=1200, rings=1, ues_per_beam=2)
         run(cfg, tmp_path)
@@ -362,6 +376,31 @@ class TestMain:
     def test_unknown_preset_is_config_error(self, tmp_path, capsys):
         assert main(["--preset", "set9:leo_s", "--out", str(tmp_path / "o")]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--preset", "set1"], "preset must look like set1:leo_s, got 'set1'"),
+            (
+                ["--preset", "set1:leo_s", "--earth-radius-km", "1e155"],
+                "orbit radius must be at most 1.3408e+154 km, got 1e+155",
+            ),
+            (
+                ["--beamwidth-deg", "1e-300", "--altitude-km", "1e200", "--elevation-deg", "90", "--rings", "0"],
+                "orbit radius must be at most 1.3408e+154 km, got 1e+200",
+            ),
+            (
+                ["--preset", "set1:leo_s", "--beamwidth-deg", "5e-324"],
+                "3 dB beamwidth 5e-324 degrees is too small: its UV radius rounds to 0",
+            ),
+        ],
+        ids=["preset_without_colon", "earth_radius_orbit", "altitude_orbit", "beamwidth_radius_0"],
+    )
+    def test_rejected_config_writes_nothing(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"uvbeams: error: {message}\n"
+        assert not out.exists()
 
     def test_bad_flag_usage_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

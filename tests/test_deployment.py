@@ -354,7 +354,7 @@ class TestRawDecode:
 class TestUeTable:
     @pytest.fixture(scope="class")
     def ues(self, leo_sat, frf1_layout):
-        # 61 beams x 50 UEs spans several conversion chunks.
+        # 61 beams x 50 UEs, read by index, by slice and by iteration.
         return drop_ues(frf1_layout, leo_sat, 50, seed=5)
 
     def test_items_are_records_of_python_numbers(self, ues):

@@ -64,7 +64,8 @@ class TestBeamRadius:
     def test_small_angle_limit(self):
         assert 0.0 < beam_radius(1e-12) < 1e-12
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, 180.0, 181.0])
+    # radians(5e-324) underflows to 0.0: that beam would have no extent.
+    @pytest.mark.parametrize("bad", [0.0, -1.0, 180.0, 181.0, 5e-324])
     def test_domain_error(self, bad):
         with pytest.raises(ValueError):
             beam_radius(bad)
@@ -266,6 +267,10 @@ class TestScenarioConfig:
             {"rings": 2.0},
             {"frf": True},
             {"frf": 3.0},
+            # A UV radius that rounds to 0; orbit radii whose square overflows.
+            {"beamwidth_3db_deg": 5e-324},
+            {"earth_radius_km": 1e155},
+            {"altitude_km": 1e200},
         ],
     )
     def test_validation(self, kwargs):

@@ -7,8 +7,10 @@ the full Cartesian projection.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from uvbeams import (
 R_E = 6371.0
 ALT = 1200.0
 R_S = R_E + ALT
+# The largest orbit radius whose square is a finite float.
+MAX_ORBIT_KM = math.sqrt(sys.float_info.max)
 
 
 def ray_sphere_ground(u: float, v: float, sat: SatelliteState) -> tuple[float, float, float]:
@@ -60,6 +64,11 @@ class TestSatelliteState:
             # An int too large for a float raised OverflowError here once.
             pytest.param(10**400, 1200.0, id="re-10**400"),
             pytest.param(6371.0, 10**400, id="alt-10**400"),
+            # Orbit radii whose square overflows to inf.
+            pytest.param(1.4e154, 1.0, id="orbit-re-1.4e154"),
+            pytest.param(6371.0, 1e200, id="orbit-alt-1e200"),
+            pytest.param(1e308, 1e308, id="orbit-1e308-1e308"),
+            pytest.param(math.nextafter(MAX_ORBIT_KM, math.inf), 1.0, id="orbit-one-ulp-past"),
         ],
     )
     def test_validation(self, re, alt):
@@ -73,6 +82,15 @@ class TestSatelliteState:
         args = (10**5000, 1.0) if field == "earth radius" else (6371.0, 10**5000)
         with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got an int of 16610 bits$"):
             SatelliteState(*args)
+
+    @pytest.mark.parametrize("re,alt", [(6371.0, MAX_ORBIT_KM), (MAX_ORBIT_KM / 2, MAX_ORBIT_KM / 2)], ids=["altitude", "halves"])
+    def test_orbit_radius_at_the_bound_projects_to_finite_numbers(self, re, alt):
+        sat = SatelliteState(re, alt)
+        assert sat.orbit_radius_km == MAX_ORBIT_KM
+        limit = horizon_limit(sat)
+        for p in (UvPoint(0.0, 0.0), UvPoint(0.999 * limit, 0.0), UvPoint(0.0, -0.5 * limit)):
+            values = dataclasses.astuple(los_geometry(p, sat)) + dataclasses.astuple(uv_to_earth(p, sat))
+            assert all(map(math.isfinite, values)), (p, values)
 
 
 class TestHorizonLimit:

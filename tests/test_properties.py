@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from test_golden import CONFIGS  # noqa: E402
+from test_reference_kernels import ref_beam_stats, ref_drop_ues, ref_footprint, ref_stats_doc  # noqa: E402
 from uvbeams import (  # noqa: E402
+    RNG_ALGORITHM,
+    RNG_STREAM_RULE,
+    BeamRole,
     GroundPoint,
     HorizonError,
     SatelliteState,
@@ -31,9 +38,10 @@ from uvbeams import (  # noqa: E402
     earth_to_uv,
     horizon_limit,
     sample_point_in_hexagon,
+    __version__,
     uv_to_earth,
 )
-from uvbeams.cli import PRESET_BEAMWIDTH_DEG, preset  # noqa: E402
+from uvbeams.cli import OUTPUT_FILES, PRESET_BEAMWIDTH_DEG, preset, run  # noqa: E402
 from uvbeams.projection import _project_columns  # noqa: E402
 
 deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -203,3 +211,86 @@ def test_drop_decodes_the_draws_of_each_beams_generator(key, frf, seed, ues_per_
         rng = beam_rng(seed, beam.id)
         expected += [sample_point_in_hexagon(beam.center_uv, layout.beam_radius, rng) for _ in range(ues_per_beam)]
     assert [ue.uv for ue in ues] == expected
+
+
+def independent_run(config: ScenarioConfig, bins: int, edge_samples: int) -> dict[str, str]:
+    """The text of each of ``run()``'s five files, made from the layout, the
+    per-UE and per-point reference kernels, ``json.dumps`` and one ``%`` per
+    CSV row.  No drop, projection, statistics or writer code of the package
+    is used, so the two sides fail apart."""
+    layout = build_layout(config)
+    sat = config.satellite()
+    ues = ref_drop_ues(layout, sat, config.ues_per_beam, config.seed)
+
+    def csv(header, template, rows):
+        # CSV floats are never -0.0: ``x or 0.0`` makes every zero 0.0, and
+        # %d writes an integer field's 0.0 as 0.
+        return header + "\n" + "".join(template % tuple(x or 0.0 for x in row) for row in rows)
+
+    beams = [(b.id, b.index.q, b.index.r, b.center_uv.u, b.center_uv.v, b.color, b.role.value) for b in layout]
+    ue_rows = [
+        (ue.ue_id, ue.beam_id, ue.uv.u, ue.uv.v, ue.ground.x_km, ue.ground.y_km, ue.ground.z_km,
+         ue.slant_range_km, ue.elevation_deg, ue.zod_deg, ue.aod_deg)
+        for ue in ues
+    ]
+    footprints = [
+        (b.id, k, p.x_km, p.y_km, p.z_km)
+        for b in layout
+        for k, p in enumerate(ref_footprint(b, sat, edge_samples).boundary)
+    ]
+    manifest = {
+        "version": __version__,
+        "config": {**dataclasses.asdict(config), "rings": config.ring_count},
+        "derived": {
+            "beam_radius": layout.beam_radius,
+            "adjacent_beam_spacing": layout.spacing,
+            "center_offset_u": layout.center_offset_u,
+            "horizon_limit": horizon_limit(sat),
+            "beam_count": len(layout),
+            "statistics_beam_count": sum(b.role is BeamRole.STATISTICS for b in layout),
+        },
+        "rng": {"generator": RNG_ALGORITHM, "stream_rule": RNG_STREAM_RULE, "seed": config.seed},
+        "outputs": list(OUTPUT_FILES),
+    }
+    return {
+        "beams.csv": csv("id,q,r,u,v,color,role", "%d,%d,%d,%.9g,%.9g,%d,%s\n", beams),
+        "ues.csv": csv(
+            "ue_id,beam_id,u,v,x_km,y_km,z_km,slant_km,elev_deg,zod_deg,aod_deg",
+            "%d,%d,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n",
+            ue_rows,
+        ),
+        "footprints.csv": csv("beam_id,vertex_idx,x_km,y_km,z_km", "%d,%d,%.9g,%.9g,%.9g\n", footprints),
+        "stats.json": json.dumps(ref_stats_doc(ref_beam_stats(ues, layout, bins), bins, len(ues)), indent=2) + "\n",
+        "manifest.json": json.dumps(manifest, indent=2) + "\n",
+    }
+
+
+@settings(deterministic, max_examples=60)
+@given(
+    key=st.sampled_from(sorted(PRESET_BEAMWIDTH_DEG)),
+    frf=st.sampled_from([1, 3]),
+    rings=st.integers(0, 3),
+    elevation=st.sampled_from([90.0, 70.0, 45.0, 30.0]) | st.floats(10.0, 90.0),
+    ues_per_beam=st.integers(1, 40),
+    seed=seeds,
+    bins=st.integers(1, 60),
+    edge_samples=st.integers(1, 9),
+)
+def test_run_matches_an_independent_pipeline(key, frf, rings, elevation, ues_per_beam, seed, bins, edge_samples):
+    config = dataclasses.replace(
+        preset(*key), frf=frf, rings=rings, center_elevation_deg=elevation, ues_per_beam=ues_per_beam, seed=seed
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        try:
+            expected = independent_run(config, bins, edge_samples)
+        except HorizonError:
+            with pytest.raises(HorizonError):
+                run(config, out, bins, edge_samples)
+            assert not out.exists()
+            return
+        run(config, out, bins, edge_samples)
+        for name in OUTPUT_FILES:
+            # Lines, not one string, so a failure shows a short diff.
+            got = (out / name).read_bytes().splitlines(keepends=True)
+            assert got == expected[name].encode("utf-8").splitlines(keepends=True), name
