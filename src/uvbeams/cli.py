@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 configuration error, 2 horizon/geometry error,
 from __future__ import annotations
 
 import argparse
-import collections
 import dataclasses
 import inspect
 import itertools
@@ -147,20 +146,17 @@ def _stats_json(stats: list[BeamStats], bins: int, ue_count: int) -> Iterator[st
     grid = stats[0].histogram
     yield _STATS_HEAD % (bins, ue_count, grid[0][0], grid[-1][1])
     template = ",\n".join(_STATS_BIN % (lo, hi) for lo, hi, _ in grid)
-    # The text of a histogram that later beams share is kept, by id, until
-    # its last use; ``stats`` keeps every histogram alive meanwhile.
-    uses_left = collections.Counter(id(s.histogram) for s in stats)
+    # A histogram's text is kept, by id, until its last use; ``stats``
+    # keeps every histogram alive meanwhile, so no id is reused.
+    last_use = {id(s.histogram): i for i, s in enumerate(stats)}
     rendered: dict[int, str] = {}
     separator = ""
-    for s in stats:
+    for i, s in enumerate(stats):
         key = id(s.histogram)
-        histogram = rendered.pop(key, None)
-        if histogram is None:
+        if key not in rendered:
             _, _, counts = zip(*s.histogram)
-            histogram = template % counts
-        uses_left[key] -= 1
-        if uses_left[key]:
-            rendered[key] = histogram
+            rendered[key] = template % counts
+        histogram = rendered.pop(key) if last_use[key] == i else rendered[key]
         yield separator + _STATS_BEAM % (
             s.beam_id,
             s.role.value,

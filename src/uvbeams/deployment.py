@@ -40,8 +40,6 @@ _MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# UEs whose decoded draws become Python numbers at once in drop_ues.
-_BLOCK = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,9 +251,7 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
         raw[i] = bit_generator.random_raw(raw.shape[1])
     scaled = np.ascontiguousarray(raw[:, ::5], "<u8").view("<u4")[:, :n].astype(np.uint64) * 6
     triangles = scaled >> 32
-    # compress keeps the rows C-ordered, as raw[:, mask] does not, so each
-    # block taken from the flattened columns below is a view, not a copy.
-    uniforms = (raw.compress(np.arange(raw.shape[1]) % 5 != 0, axis=1) >> 11) * 2.0**-53
+    uniforms = (raw[:, np.arange(raw.shape[1]) % 5 != 0] >> 11) * 2.0**-53
     del raw
     # Lemire's method redraws when the low word of scaled is below
     # 2**32 % 6 == 4; such a beam is drawn by its Generator instead.
@@ -266,13 +262,9 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
             uniforms[row, 2 * j : 2 * j + 2] = rng.random(), rng.random()
     del scaled
     # The sampler's Generator is stood in for by the decoded values, served
-    # in call order and made Python numbers one block of UEs at a time.
-    triangle_values = itertools.chain.from_iterable(
-        triangles.ravel()[i : i + _BLOCK].tolist() for i in range(0, count, _BLOCK)
-    )
-    uniform_values = itertools.chain.from_iterable(
-        uniforms.ravel()[2 * i : 2 * i + 2 * _BLOCK].tolist() for i in range(0, count, _BLOCK)
-    )
+    # in call order and made Python numbers one beam's draws at a time.
+    triangle_values = itertools.chain.from_iterable(map(np.ndarray.tolist, triangles))
+    uniform_values = itertools.chain.from_iterable(map(np.ndarray.tolist, uniforms))
     draws = SimpleNamespace(integers=lambda high: next(triangle_values), random=uniform_values.__next__)
     centres = itertools.chain.from_iterable(itertools.repeat(beam.center_uv, n) for beam in layout.beams)
     points = map(sample_point_in_hexagon, centres, itertools.repeat(layout.beam_radius), itertools.repeat(draws))

@@ -160,14 +160,15 @@ class BeamLayout:
 
 def beam_radius(beamwidth_3db_deg: float) -> float:
     """Beam circumradius on the UV-plane: sine of half the 3 dB beamwidth.
-    A beamwidth so small that the sine rounds to 0 raises :class:`ValueError`."""
+    A radius below ``2**-48`` raises :class:`ValueError`: past it, the
+    centres of neighbouring beams stop being distinct floats."""
     if not 0.0 < beamwidth_3db_deg < 180.0:
         raise ValueError(
             f"3 dB beamwidth must lie in (0, 180) degrees, got {_shown(beamwidth_3db_deg)}"
         )
     radius = math.sin(math.radians(beamwidth_3db_deg) / 2.0)
-    if radius == 0.0:
-        raise ValueError(f"3 dB beamwidth {beamwidth_3db_deg} degrees is too small: its UV radius rounds to 0")
+    if radius < 2**-48:
+        raise ValueError(f"3 dB beamwidth {beamwidth_3db_deg} degrees is too small: its UV radius {radius:.9g} is below 2**-48")
     return radius
 
 

@@ -91,6 +91,14 @@ class SatelliteState:
         bound = math.sqrt(sys.float_info.max)
         if not self.orbit_radius_km <= bound:
             raise ValueError(f"orbit radius must be at most {bound:.5g} km, got {_shown(self.orbit_radius_km)}")
+        # The slant range -r_e * sin(alpha) + sqrt(...) cancels to a relative
+        # error of about 2**-52 * r_e / a; at 2**20 that stays below 5e-10,
+        # half a unit of the CSV's ninth digit.
+        if not self.altitude_km >= self.earth_radius_km * 2**-20:
+            raise ValueError(
+                f"altitude must be at least 2**-20 times the earth radius, "
+                f"got altitude {self.altitude_km} km and earth radius {self.earth_radius_km} km"
+            )
 
     @property
     def orbit_radius_km(self) -> float:
@@ -128,11 +136,6 @@ def _each(fn: Callable) -> Callable:
     return lambda *cols: np.fromiter(map(fn, *(c.tolist() for c in cols)), np.float64, len(cols[0]))
 
 
-def _beyond(d_uv: float, limit: float) -> float | None:
-    """The first UV radius that is not ``<= limit``, or None."""
-    return None if d_uv <= limit else d_uv
-
-
 _LIBM = (math.hypot, math.asin, math.atan2, math.acos, math.sin, math.cos)
 # The functions _line_of_sight applies to columns, in the order of its
 # function parameters.  They are the same libm functions as for floats, one
@@ -150,7 +153,7 @@ _CHUNK = 2048
 
 def _line_of_sight(
     u, v, sat: SatelliteState, hypot=math.hypot, asin=math.asin, atan2=math.atan2, acos=math.acos,
-    sin=math.sin, cos=math.cos, sqrt=math.sqrt, minimum=min, beyond=_beyond,
+    sin=math.sin, cos=math.cos, sqrt=math.sqrt, minimum=min, beyond=lambda d_uv, limit: d_uv,
 ) -> tuple:
     """Shared kernel of :func:`los_geometry`, :func:`uv_to_earth` and the
     columnar pipeline.

@@ -190,7 +190,7 @@ class TestRun:
     def test_orbit_radius_near_the_bound_writes_strict_json(self, tmp_path):
         # Every square the slant range takes stays a finite float, so
         # stats.json holds no Infinity or NaN and no CSV cell is inf or nan.
-        cfg = ScenarioConfig(beamwidth_3db_deg=4.4127, altitude_km=1200.0, earth_radius_km=1.3e154, rings=1, ues_per_beam=3)
+        cfg = ScenarioConfig(beamwidth_3db_deg=4.4127, altitude_km=6.7e153, earth_radius_km=6.7e153, rings=1, ues_per_beam=3)
         run(cfg, tmp_path)
 
         def reject(constant):
@@ -390,11 +390,22 @@ class TestMain:
                 "orbit radius must be at most 1.3408e+154 km, got 1e+200",
             ),
             (
+                ["--preset", "set1:leo_s", "--earth-radius-km", "1.3e154"],
+                "altitude must be at least 2**-20 times the earth radius, got altitude 1200.0 km and earth radius 1.3e+154 km",
+            ),
+            (
                 ["--preset", "set1:leo_s", "--beamwidth-deg", "5e-324"],
-                "3 dB beamwidth 5e-324 degrees is too small: its UV radius rounds to 0",
+                "3 dB beamwidth 5e-324 degrees is too small: its UV radius 0 is below 2**-48",
+            ),
+            (
+                ["--beamwidth-deg", "1e-320", "--altitude-km", "1200", "--rings", "1", "--ues-per-beam", "2"],
+                "3 dB beamwidth 1e-320 degrees is too small: its UV radius 8.89318163e-323 is below 2**-48",
             ),
         ],
-        ids=["preset_without_colon", "earth_radius_orbit", "altitude_orbit", "beamwidth_radius_0"],
+        ids=[
+            "preset_without_colon", "earth_radius_orbit", "altitude_orbit", "altitude_ratio",
+            "beamwidth_radius_0", "beamwidth_radius_below_2**-48",
+        ],
     )
     def test_rejected_config_writes_nothing(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o"

@@ -70,6 +70,26 @@ class TestBeamRadius:
         with pytest.raises(ValueError):
             beam_radius(bad)
 
+    @pytest.mark.parametrize("elevation", [90.0, 70.0, 10.0])
+    def test_least_radius_keeps_beam_centres_distinct(self, elevation):
+        # The least beamwidth whose UV radius is at least 2**-48.
+        def radius(beamwidth):
+            return math.sin(math.radians(beamwidth) / 2.0)
+
+        beamwidth = math.degrees(2.0 * 2**-48)
+        while radius(beamwidth) < 2**-48:
+            beamwidth = math.nextafter(beamwidth, math.inf)
+        while radius(math.nextafter(beamwidth, 0.0)) >= 2**-48:
+            beamwidth = math.nextafter(beamwidth, 0.0)
+        config = ScenarioConfig(beamwidth_3db_deg=beamwidth, altitude_km=1200.0, center_elevation_deg=elevation, rings=3)
+        layout = build_layout(config)
+        assert layout.beam_radius >= 2**-48
+        assert len({beam.center_uv for beam in layout}) == len(layout) == 37
+        for beam in layout:
+            assert beam.center_uv not in beam.vertices_uv
+        with pytest.raises(ValueError, match=re.escape("is below 2**-48")):
+            beam_radius(math.nextafter(beamwidth, 0.0))
+
 
 class TestAdjacentBeamSpacing:
     @pytest.mark.parametrize("name,beamwidth,expected", TABLE_ROWS)
@@ -267,10 +287,13 @@ class TestScenarioConfig:
             {"rings": 2.0},
             {"frf": True},
             {"frf": 3.0},
-            # A UV radius that rounds to 0; orbit radii whose square overflows.
+            # UV radii below 2**-48; orbit radii whose square overflows; an
+            # altitude below 2**-20 times the Earth radius.
             {"beamwidth_3db_deg": 5e-324},
             {"earth_radius_km": 1e155},
             {"altitude_km": 1e200},
+            {"beamwidth_3db_deg": 1e-320, "rings": 1, "ues_per_beam": 2},
+            {"earth_radius_km": 1.3e154},
         ],
     )
     def test_validation(self, kwargs):

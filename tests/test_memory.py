@@ -1,6 +1,6 @@
 """Bounds on the ``tracemalloc`` peak of ``run()`` on the golden configs,
-on its growth with the drop size, on the peak of ``project_footprints`` on
-a whole layout, and on the size of the wide layout.
+on its growth with the drop size, on the peaks of ``project_footprints`` and
+``drop_ues`` on a whole layout, and on the size of the wide layout.
 
 ``run()`` drops, projects and writes one beam chunk at a time.  It keeps
 each UE's slant range, 8 B, and each beam's elevation extrema for the
@@ -24,7 +24,7 @@ import tracemalloc
 import pytest
 
 from test_golden import CONFIGS
-from uvbeams import build_layout, project_footprints
+from uvbeams import build_layout, drop_ues, project_footprints
 from uvbeams.cli import preset, run
 
 PEAK_BOUND_MB = {"dense": 0.8, "wide": 1.1}
@@ -34,6 +34,8 @@ LAYOUT_BOUND_MB = 0.5
 GROWTH_BOUND_B_PER_UE = 14.0
 # Peak of project_footprints on a whole layout over its result's bytes.
 FOOTPRINT_PEAK_RATIO = 1.5
+# Peak of drop_ues on a whole layout over its table's bytes.
+DROP_PEAK_RATIO = 1.3
 
 
 def traced_peak(fn, *args):
@@ -74,6 +76,17 @@ def test_whole_layout_footprints_peak_near_their_size():
     del table
     peak = traced_peak(project_footprints, layout, config.satellite(), 8)
     assert peak < FOOTPRINT_PEAK_RATIO * result_bytes
+
+
+def test_whole_layout_drop_peaks_near_its_table_size():
+    # drop_ues makes one beam's draws Python numbers at a time; doing so for
+    # every draw at once took the peak to 1.45 times the table.
+    config = CONFIGS["dense"]
+    args = (build_layout(config), config.satellite(), config.ues_per_beam, config.seed)
+    table = drop_ues(*args)
+    table_bytes = sum(column.nbytes for column in table.columns())
+    del table
+    assert traced_peak(drop_ues, *args) < DROP_PEAK_RATIO * table_bytes
 
 
 def test_wide_layout_size_is_bounded():

@@ -69,6 +69,9 @@ class TestSatelliteState:
             pytest.param(6371.0, 1e200, id="orbit-alt-1e200"),
             pytest.param(1e308, 1e308, id="orbit-1e308-1e308"),
             pytest.param(math.nextafter(MAX_ORBIT_KM, math.inf), 1.0, id="orbit-one-ulp-past"),
+            # Altitudes below 2**-20 times the Earth radius.
+            pytest.param(6371.0, math.nextafter(6371.0 * 2**-20, 0.0), id="altitude-one-ulp-below-ratio"),
+            pytest.param(1.3e154, 1200.0, id="altitude-ratio-1.3e154-1200"),
         ],
     )
     def test_validation(self, re, alt):
@@ -92,6 +95,21 @@ class TestSatelliteState:
             values = dataclasses.astuple(los_geometry(p, sat)) + dataclasses.astuple(uv_to_earth(p, sat))
             assert all(map(math.isfinite, values)), (p, values)
 
+    @pytest.mark.parametrize("re", [6371.0, 1.0, 1e150])
+    def test_altitude_at_the_ratio_bound_keeps_the_slant_digits(self, re):
+        # The cancelling slant-range form against the stable one,
+        # (a^2 + 2 r_E a) / (r_E sin(alpha) + sqrt(...)), within half a unit
+        # of the ninth digit a CSV cell keeps.
+        a = re * 2**-20
+        sat = SatelliteState(re, a)
+        limit = horizon_limit(sat)
+        for fraction in np.linspace(0.0, 0.999, 1000).tolist():
+            g = los_geometry(UvPoint(fraction * limit, 0.0), sat)
+            sin_alpha = math.sin(g.elevation_rad)
+            square = a * a + 2.0 * re * a
+            stable = square / (re * sin_alpha + math.sqrt(re * re * sin_alpha * sin_alpha + square))
+            assert abs(g.slant_range_km - stable) <= 5e-10 * stable, fraction
+
 
 class TestHorizonLimit:
     def test_leo(self, leo_sat):
@@ -102,7 +120,9 @@ class TestHorizonLimit:
         assert horizon_limit(SatelliteState(6371.0, 35786.0)) == 6371.0 / 42157.0
 
     def test_zero_altitude_limit(self):
-        assert horizon_limit(SatelliteState(6371.0, 1e-9)) > 1.0 - 1e-12
+        # The least altitude accepted is 2**-20 times the Earth radius.
+        a = 6371.0 * 2**-20
+        assert horizon_limit(SatelliteState(6371.0, a)) == 6371.0 / (6371.0 + a) > 1.0 - 2**-20
 
 
 class TestLosGeometry:
