@@ -8,8 +8,10 @@ by :func:`_stream_states`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -18,7 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .layout import _CORNER_UNIT, BeamLayout, _check_count
-from .projection import GroundPoint, SatelliteState, UvPoint, _project_columns, _shown
+from .projection import GroundPoint, SatelliteState, UvPoint, _project_columns, _shown, _uv_point
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -40,6 +42,11 @@ _MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# Corners k and k + 1 of fan triangle k, (c0u, c0v, c1u, c1v), as
+# hexagon_vertices reads them.
+_FAN = tuple((*_CORNER_UNIT[k], *_CORNER_UNIT[(k + 1) % 6]) for k in range(6))
+_MAX_FLOAT = sys.float_info.max
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,7 +194,7 @@ def sample_point_in_hexagon(
     finite (an int too large for a float is not), raises
     :class:`ValueError` before any draw.
     """
-    if not 0.0 < circumradius <= sys.float_info.max:
+    if not 0.0 < circumradius <= _MAX_FLOAT:
         raise ValueError(f"circumradius must be positive and finite, got {_shown(circumradius)}")
     cu = center.u
     cv = center.v
@@ -202,14 +209,13 @@ def sample_point_in_hexagon(
     a2 = rng.random()
     if a1 + a2 > 1.0:
         a1, a2 = 1.0 - a1, 1.0 - a2
-    # Corners k and k + 1 of the fan triangle, computed as hexagon_vertices does.
-    c0u, c0v = _CORNER_UNIT[k]
-    c1u, c1v = _CORNER_UNIT[(k + 1) % 6]
+    # The fan triangle's corners, computed as hexagon_vertices does.
+    c0u, c0v, c1u, c1v = _FAN[k]
     v0u = cu + circumradius * c0u
     v0v = cv + circumradius * c0v
     v1u = cu + circumradius * c1u
     v1v = cv + circumradius * c1v
-    return UvPoint(
+    return _uv_point(
         cu + a1 * (v0u - cu) + a2 * (v1u - cu),
         cv + a1 * (v0v - cv) + a2 * (v1v - cv),
     )
@@ -262,14 +268,18 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
             uniforms[row, 2 * j : 2 * j + 2] = rng.random(), rng.random()
     del scaled
     # The sampler's Generator is stood in for by the decoded values, served
-    # in call order and made Python numbers one beam's draws at a time.
+    # in call order and made Python numbers one beam's draws at a time.  Its
+    # two methods are C-level callables: integers(6) is next(triangle_values,
+    # 6), whose default is never reached, since exactly n indices are fed
+    # per beam and the sampler asks for one per UE.
     triangle_values = itertools.chain.from_iterable(map(np.ndarray.tolist, triangles))
     uniform_values = itertools.chain.from_iterable(map(np.ndarray.tolist, uniforms))
-    draws = SimpleNamespace(integers=lambda high: next(triangle_values), random=uniform_values.__next__)
+    draws = SimpleNamespace(integers=functools.partial(next, triangle_values), random=uniform_values.__next__)
     centres = itertools.chain.from_iterable(itertools.repeat(beam.center_uv, n) for beam in layout.beams)
     points = map(sample_point_in_hexagon, centres, itertools.repeat(layout.beam_radius), itertools.repeat(draws))
-    u, v = np.fromiter(((p.u, p.v) for p in points), np.dtype((np.float64, 2)), count).T.copy()
-    del triangles, uniforms, triangle_values, uniform_values, draws, points  # released before the projection
+    coordinates = itertools.chain.from_iterable(map(operator.attrgetter("u", "v"), points))
+    u, v = np.fromiter(coordinates, np.float64, 2 * count).reshape(-1, 2).T.copy()
+    del triangles, uniforms, triangle_values, uniform_values, draws, points, coordinates  # released before the projection
     # math.degrees is this one multiply, so the columns keep its bits.
     to_degrees = 180.0 / math.pi
 

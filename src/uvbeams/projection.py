@@ -70,6 +70,30 @@ class GroundPoint:
         return math.sqrt(self.x_km**2 + self.y_km**2 + self.z_km**2)
 
 
+# The per-point producers build their results by setting the slots directly:
+# a frozen dataclass's __init__ goes through object.__setattr__ once per
+# field from a Python frame, which costs about half again as much.  The
+# objects are the same frozen instances, with the same eq, hash and repr.
+_new = object.__new__
+_set_u, _set_v = UvPoint.u.__set__, UvPoint.v.__set__
+_set_x, _set_y, _set_z = GroundPoint.x_km.__set__, GroundPoint.y_km.__set__, GroundPoint.z_km.__set__
+
+
+def _uv_point(u: float, v: float) -> UvPoint:
+    p = _new(UvPoint)
+    _set_u(p, u)
+    _set_v(p, v)
+    return p
+
+
+def _ground_point(x_km: float, y_km: float, z_km: float) -> GroundPoint:
+    p = _new(GroundPoint)
+    _set_x(p, x_km)
+    _set_y(p, y_km)
+    _set_z(p, z_km)
+    return p
+
+
 @dataclass(frozen=True, slots=True)
 class SatelliteState:
     """Spherical Earth of radius ``earth_radius_km`` plus a nadir-pointing
@@ -239,7 +263,7 @@ def uv_to_earth(p_uv: UvPoint, sat: SatelliteState) -> GroundPoint:
     the slant range gives the satellite-to-ground displacement; adding the
     satellite position lands on the sphere.
     """
-    return GroundPoint(*_line_of_sight(p_uv.u, p_uv.v, sat)[6:])
+    return _ground_point(*_line_of_sight(p_uv.u, p_uv.v, sat)[6:])
 
 
 def earth_to_uv(p_u: GroundPoint, sat: SatelliteState) -> UvPoint:
@@ -252,6 +276,7 @@ def earth_to_uv(p_u: GroundPoint, sat: SatelliteState) -> UvPoint:
     raises :class:`ValueError`.
     """
     r_e = sat.earth_radius_km
+    r_s = sat.orbit_radius_km
     try:
         radius = p_u.norm_km()
     except OverflowError:
@@ -263,7 +288,7 @@ def earth_to_uv(p_u: GroundPoint, sat: SatelliteState) -> UvPoint:
         )
     # Visible means elevation >= 0, i.e. the point sits above the tangent
     # circle: z >= r_E^2 / (r_E + a).
-    min_z = r_e * r_e / sat.orbit_radius_km
+    min_z = r_e * r_e / r_s
     if not p_u.z_km >= min_z - _ON_SPHERE_TOL * r_e:
         raise HorizonError(
             f"ground point at z = {p_u.z_km:.9g} km is below the tangent circle "
@@ -271,6 +296,6 @@ def earth_to_uv(p_u: GroundPoint, sat: SatelliteState) -> UvPoint:
         )
     dx = p_u.x_km
     dy = p_u.y_km
-    dz = p_u.z_km - sat.orbit_radius_km
+    dz = p_u.z_km - r_s
     d = math.sqrt(dx * dx + dy * dy + dz * dz)
-    return UvPoint(dx / d, dy / d)
+    return _uv_point(dx / d, dy / d)

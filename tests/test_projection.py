@@ -24,8 +24,10 @@ from uvbeams import (
     earth_to_uv,
     horizon_limit,
     los_geometry,
+    sample_point_in_hexagon,
     uv_to_earth,
 )
+from uvbeams.projection import _ground_point, _uv_point
 
 R_E = 6371.0
 ALT = 1200.0
@@ -305,3 +307,64 @@ class TestEarthToUv:
             earth_to_uv(GroundPoint(0.0, 0.0, -R_E), leo_sat)
         with pytest.raises(HorizonError):
             earth_to_uv(GroundPoint(R_E, 0.0, 0.0), leo_sat)
+
+
+def drawn_floats(n: int, seed: int) -> list[float]:
+    """Signed zeros, infinities, NaN, subnormals and the extremes, then ``n``
+    floats drawn as uniform 64-bit patterns (NaN payloads and subnormals
+    included)."""
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+               sys.float_info.max, -sys.float_info.max, 1.0, -1.0]
+    bits = np.random.default_rng(seed).integers(0, 2**64, n, dtype=np.uint64, endpoint=False)
+    return special + bits.view(np.float64).tolist()
+
+
+def same_point(made, built) -> None:
+    """``made`` is the point ``built`` is: type, field bits, eq, hash, repr."""
+    assert type(made) is type(built)
+    names = [f.name for f in dataclasses.fields(built)]
+    for name in names:
+        # float.hex tells -0.0 from 0.0, and names every NaN alike.
+        assert getattr(made, name).hex() == getattr(built, name).hex()
+        assert getattr(made, name) is getattr(built, name)
+    assert made == built
+    assert hash(made) == hash(built)
+    assert repr(made) == repr(built)
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(made, name, 0.0)
+    assert not hasattr(made, "__dict__")
+
+
+class TestPointMakers:
+    """The per-point producers build points by setting slots directly; the
+    result must be the point the public constructor builds."""
+
+    @pytest.mark.parametrize(
+        "maker, cls", [(_uv_point, UvPoint), (_ground_point, GroundPoint)], ids=["uv", "ground"]
+    )
+    def test_maker_takes_every_field_in_order(self, maker, cls):
+        # A field added to the class without its maker fails here.
+        assert list(inspect.signature(maker).parameters) == [f.name for f in dataclasses.fields(cls)]
+
+    @pytest.mark.parametrize(
+        "maker, cls", [(_uv_point, UvPoint), (_ground_point, GroundPoint)], ids=["uv", "ground"]
+    )
+    def test_maker_matches_the_constructor(self, maker, cls):
+        values = drawn_floats(600, seed=61)
+        arity = len(dataclasses.fields(cls))
+        # Each value takes each field position once, next to other drawn values.
+        for start in range(len(values)):
+            args = [values[(start + k * 7) % len(values)] for k in range(arity)]
+            same_point(maker(*args), cls(*args))
+
+    def test_producers_return_frozen_points(self, leo_sat):
+        rng = np.random.default_rng(67)
+        for u, v in uv_disk_points(200, horizon_limit(leo_sat), seed=71):
+            uv = UvPoint(u, v)
+            ground = uv_to_earth(uv, leo_sat)
+            same_point(ground, GroundPoint(ground.x_km, ground.y_km, ground.z_km))
+            back = earth_to_uv(ground, leo_sat)
+            same_point(back, UvPoint(back.u, back.v))
+            sampled = sample_point_in_hexagon(uv, 0.01, rng)
+            same_point(sampled, UvPoint(sampled.u, sampled.v))
