@@ -144,7 +144,8 @@ def _beam_stats(
     and greatest elevation.  The caller has checked the input.  A group is a
     contiguous slice, and its histogram and mean are taken from it; the mean
     has the bits of ``ndarray.mean``, the same pairwise sum and division."""
-    roles = {beam.id: beam.role for beam in layout.beams}
+    by_value = {role.value: role for role in BeamRole}
+    roles = dict(zip(layout.beams.id.tolist(), map(by_value.get, layout.beams.role.tolist())))
     unknown = [beam_id for beam_id in group_ids if beam_id not in roles]
     if unknown:
         raise ValueError(f"UE beam id {unknown[0]} is not in the layout")
@@ -194,7 +195,7 @@ def _beam_stats(
 def _beam_chunks(layout: BeamLayout, per_beam: int) -> Iterator[tuple[int, BeamLayout]]:
     """The first beam index and the sub-layout of each run of ``max(1,
     _CHUNK // per_beam)`` consecutive beams, for work of ``per_beam`` rows
-    per beam."""
+    per beam; a sub-layout's beams are a slice of the layout's table."""
     step = max(1, _CHUNK // per_beam)
     for start in range(0, len(layout), step):
         yield start, replace(layout, beams=layout.beams[start : start + step])
@@ -209,7 +210,7 @@ def project_footprints(
     first corner) before projection, which is enough to show how the Earth's
     curvature bends the far-side footprints.
 
-    The corners are built as columns from the beam centres and the layout's
+    The corners are built as columns from the layout's centre columns and
     radius, by the two operations of :func:`~uvbeams.layout.hexagon_vertices`
     (``centre + radius * unit``), so they have the bits of
     ``beam.vertices_uv`` without making a point object per corner.  The
@@ -221,11 +222,11 @@ def project_footprints(
     corners = layout.beam_radius * np.array(_CORNER_UNIT)[:, None]
     t = (np.arange(samples_per_edge) / samples_per_edge)[:, None]
     points = 6 * samples_per_edge + 1
-    xyz = None
+    xyz = np.empty((3, 0))
     for start, chunk in _beam_chunks(layout, points):
         # Corners a and b of every edge, shape (beams, 6, 1, 2); each boundary
         # point is a + t * (b - a) with t = j / samples_per_edge.
-        centres = np.array([(beam.center_uv.u, beam.center_uv.v) for beam in chunk])
+        centres = np.stack((chunk.beams.u, chunk.beams.v), axis=-1)
         a = centres.reshape(-1, 1, 1, 2) + corners
         b = np.roll(a, -1, axis=1)
         uv = (a + t * (b - a)).reshape(len(a), -1, 2)
@@ -234,11 +235,10 @@ def project_footprints(
         # The result is made once the first chunk is projected: run() calls
         # this one chunk at a time, and made earlier it would add to the
         # kernel's transient peak.
-        if xyz is None:
+        if start == 0:
             xyz = np.empty((3, len(layout) * points))
         xyz[:, start * points : (start + len(a)) * points] = rows
-    beam_ids = np.array([beam.id for beam in layout.beams], np.int64)
-    return FootprintTable(beam_ids, *xyz.reshape(3, len(layout), points))
+    return FootprintTable(layout.beams.id, *xyz.reshape(3, len(layout), points))
 
 
 def footprint_area_km2(footprint: Footprint) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
-import itertools
 import json
 import os
 import sys
@@ -247,15 +246,12 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").unlink(missing_ok=True)
 
-    # CSV floats carry 9 significant digits; + 0.0 turns -0.0 into 0.0.
-    beams = (_BEAMS_ROW % (b.id, b.index.q, b.index.r, b.center_uv.u + 0.0, b.center_uv.v + 0.0, b.color, b.role.value) for b in layout)
-    _write(out_dir / "beams.csv", itertools.chain([BEAMS_CSV_HEADER + "\n"], beams))
+    _write(out_dir / "beams.csv", _csv(BEAMS_CSV_HEADER, _BEAMS_ROW, [layout.beams.columns()]))
     _write(out_dir / "ues.csv", _csv(UES_CSV_HEADER, _UES_ROW, _ue_tables(layout, sat, n, config.seed, slants, extrema)))
     footprints = (project_footprints(chunk, sat, edge_samples).columns() for _, chunk in _beam_chunks(layout, 6 * edge_samples + 1))
     _write(out_dir / "footprints.csv", _csv(FOOTPRINTS_CSV_HEADER, _FOOTPRINTS_ROW, footprints))
     # drop_ues emits each beam's n UEs together, in layout order.
-    group_ids = [beam.id for beam in layout.beams]
-    stats = _beam_stats(group_ids, np.arange(0, len(slants), n), slants, extrema, layout, bins)
+    stats = _beam_stats(layout.beams.id.tolist(), np.arange(0, len(slants), n), slants, extrema, layout, bins)
     del slants, extrema  # not needed to format stats.json
     _write(out_dir / "stats.json", _stats_json(stats, bins, len(layout) * n))
 

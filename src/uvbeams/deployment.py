@@ -243,7 +243,7 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
     """
     _check_count("ues_per_beam", ues_per_beam)
     _check_count("seed", seed)
-    beam_ids = [beam.id for beam in layout.beams]
+    beam_ids = layout.beams.id.tolist()
     _check_count("beams * ues_per_beam", (max(beam_ids, default=0) + 1) * ues_per_beam)
     n = ues_per_beam
     count = len(beam_ids) * n
@@ -268,14 +268,17 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
             uniforms[row, 2 * j : 2 * j + 2] = rng.random(), rng.random()
     del scaled
     # The sampler's Generator is stood in for by the decoded values, served
-    # in call order and made Python numbers one beam's draws at a time.  Its
-    # two methods are C-level callables: integers(6) is next(triangle_values,
-    # 6), whose default is never reached, since exactly n indices are fed
-    # per beam and the sampler asks for one per UE.
-    triangle_values = itertools.chain.from_iterable(map(np.ndarray.tolist, triangles))
-    uniform_values = itertools.chain.from_iterable(map(np.ndarray.tolist, uniforms))
+    # in call order and made Python numbers one at a time by a memoryview
+    # of each beam's row.  Its two methods are C-level callables:
+    # integers(6) is next(triangle_values, 6), whose default is never
+    # reached, since exactly n indices are fed per beam and the sampler asks
+    # for one per UE.  Each beam's centre is one point, made from the
+    # layout's columns and fed n times.
+    triangle_values = itertools.chain.from_iterable(map(memoryview, triangles))
+    uniform_values = itertools.chain.from_iterable(map(memoryview, uniforms))
     draws = SimpleNamespace(integers=functools.partial(next, triangle_values), random=uniform_values.__next__)
-    centres = itertools.chain.from_iterable(itertools.repeat(beam.center_uv, n) for beam in layout.beams)
+    beam_centres = map(_uv_point, layout.beams.u.tolist(), layout.beams.v.tolist())
+    centres = itertools.chain.from_iterable(map(itertools.repeat, beam_centres, itertools.repeat(n)))
     points = map(sample_point_in_hexagon, centres, itertools.repeat(layout.beam_radius), itertools.repeat(draws))
     coordinates = itertools.chain.from_iterable(map(operator.attrgetter("u", "v"), points))
     u, v = np.fromiter(coordinates, np.float64, 2 * count).reshape(-1, 2).T.copy()
@@ -286,7 +289,7 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
     def ground_and_link(d_uv, omega, zod, aod, alpha, slant, x, y, z):
         return x, y, z, slant, alpha * to_degrees, zod * to_degrees, aod * to_degrees
 
-    beam_id_column = np.repeat(np.array(beam_ids, np.int64), ues_per_beam)
+    beam_id_column = np.repeat(layout.beams.id, ues_per_beam)
     ue_ids = beam_id_column * ues_per_beam + np.tile(np.arange(ues_per_beam), len(layout))
     return UeTable(ue_ids, beam_id_column, u, v, *_project_columns(u, v, sat, ground_and_link))
 

@@ -13,9 +13,12 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from types import SimpleNamespace
+from typing import Iterable, Iterator
 
-from .projection import HorizonError, SatelliteState, UvPoint, _shown, horizon_limit
+import numpy as np
+
+from .projection import HorizonError, SatelliteState, UvPoint, _each, _shown, horizon_limit
 
 __all__ = [
     "SQRT3",
@@ -24,6 +27,7 @@ __all__ = [
     "HexIndex",
     "BeamRole",
     "Beam",
+    "BeamTable",
     "BeamLayout",
     "beam_radius",
     "adjacent_beam_spacing",
@@ -52,9 +56,10 @@ _EDGE_NORMAL = tuple(
     (math.cos(math.radians(60.0 * k)), math.sin(math.radians(60.0 * k))) for k in range(3)
 )
 
-# Axial neighbour steps, counter-clockwise from +q.
+# Axial neighbour steps, counter-clockwise from +q; n times step k is the
+# corner where side k of ring n starts.
 _AXIAL_DIRECTIONS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
-# Walk order that sweeps ring n counter-clockwise starting at (n, 0).
+# The step along side k, so ring n is swept counter-clockwise from (n, 0).
 _RING_WALK = ((-1, 1), (-1, 0), (0, -1), (1, -1), (1, 0), (0, 1))
 
 
@@ -142,14 +147,62 @@ class Beam:
         return hexagon_vertices(self.center_uv, self.radius)
 
 
+class BeamTable:
+    """The beams of a layout as NumPy columns, in the order of ``beams.csv``:
+    id, axial ``q`` and ``r``, the centre's ``u`` and ``v``, colour and role
+    value.  ``radius`` is the circumradius every beam shares.  An int index
+    and iteration yield :class:`Beam`s, a slice yields a table, and ``==``
+    compares every column."""
+
+    # A plain class, like UeTable, to keep import cheap.
+    __slots__ = ("id", "q", "r", "u", "v", "color", "role", "radius")
+
+    def __init__(self, *columns: np.ndarray, radius: float) -> None:
+        for name, column in zip(self.__slots__[:-1], columns, strict=True):
+            setattr(self, name, column)
+        self.radius = radius
+
+    @classmethod
+    def from_beams(cls, beams: Iterable[Beam], radius: float) -> BeamTable:
+        """The table of ``beams``, any iterable of :class:`Beam`s."""
+        rows = [(b.id, b.index.q, b.index.r, b.center_uv.u, b.center_uv.v, b.color, b.role.value) for b in beams]
+        columns = list(zip(*rows)) or [()] * 7
+        return cls(*map(np.array, columns, (np.int64,) * 3 + (np.float64,) * 2 + (np.int64, str)), radius=radius)
+
+    def columns(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in self.__slots__[:-1]]
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return BeamTable(*(c[index] for c in self.columns()), radius=self.radius)
+        beam_id, q, r, u, v, color, role = (c[index].item() for c in self.columns())
+        return Beam(beam_id, HexIndex(q, r), UvPoint(u, v), self.radius, color, BeamRole(role))
+
+    def __iter__(self) -> Iterator[Beam]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        return isinstance(other, BeamTable) and self.radius == other.radius and all(map(np.array_equal, self.columns(), other.columns()))
+
+
 @dataclass(frozen=True, slots=True)
 class BeamLayout:
-    """Immutable collection of beams plus the lattice constants they share."""
+    """Immutable collection of beams plus the lattice constants they share.
+    ``beams`` may be given as any sequence of :class:`Beam`s, as
+    ``dataclasses.replace(layout, beams=...)`` does; it is kept as a
+    :class:`BeamTable` of radius ``beam_radius``."""
 
-    beams: tuple[Beam, ...]
+    beams: BeamTable
     beam_radius: float
     spacing: float
     center_offset_u: float
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.beams, BeamTable):
+            object.__setattr__(self, "beams", BeamTable.from_beams(self.beams, self.beam_radius))
 
     def __len__(self) -> int:
         return len(self.beams)
@@ -203,14 +256,16 @@ def hex_grid(rings: int) -> list[HexIndex]:
     its +q corner, so ids derived from this order are stable.  The count is
     ``1 + 3 * rings * (rings + 1)``.
     """
-    return list(_hex_cells(_check_count("rings", rings)))
+    q, r = _hex_columns(_check_count("rings", rings))[:2]
+    return list(map(HexIndex, q.tolist(), r.tolist()))
 
 
 # The one range table of the count rule: least value and exclusive bound.
 # frf has no range here; frf_color owns its values, 1 and 3.
 _COUNT_RANGE = {
     "frf": (-math.inf, math.inf),
-    "rings": (0, math.inf),
+    # 1 + 3 * rings * (rings + 1) beams, so every beam id is below 2**32.
+    "rings": (0, 37837),
     "ues_per_beam": (1, math.inf),
     "bins": (1, math.inf),
     "samples_per_edge": (1, math.inf),
@@ -231,26 +286,29 @@ def _check_count(name: str, value: int) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if not least <= value < bound:
-        below = "" if bound == math.inf else f" and below 2**{bound.bit_length() - 1}"
+        # A power-of-two bound is named as one: 2**64, not its digits.
+        shown = bound if bound == math.inf or bound & (bound - 1) else f"2**{bound.bit_length() - 1}"
+        below = "" if bound == math.inf else f" and below {shown}"
         raise ValueError(f"{name} must be at least {least}{below}, got {_shown(value)}")
     return value
 
 
-def _hex_cells(rings: int) -> Iterator[HexIndex]:
-    """Lazy :func:`hex_grid`: cells are made only as they are consumed."""
-    yield HexIndex(0, 0)
-    for n in range(1, rings + 1):
-        q, r = n, 0
-        for dq, dr in _RING_WALK:
-            for _ in range(n):
-                yield HexIndex(q, r)
-                q += dq
-                r += dr
+def _hex_columns(rings: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Axial ``q`` and ``r`` and the ring of every cell within ``rings``, in
+    :func:`hex_grid` order."""
+    n = np.repeat(np.arange(1, rings + 1), 6 * np.arange(1, rings + 1))
+    # Ring n starts at cell 1 + 3 * n * (n - 1); its cell k is step k % n
+    # along side k // n.
+    side, step = np.divmod(np.arange(len(n)) - 3 * n * (n - 1), n)
+    cells = n[:, None] * np.array(_AXIAL_DIRECTIONS)[side] + step[:, None] * np.array(_RING_WALK)[side]
+    q, r = np.concatenate(([[0, 0]], cells)).T
+    return q, r, np.concatenate(([0], n))
 
 
 def frf_color(index: HexIndex, frf: int) -> int:
     """Reuse colour of a cell; ``(q - r) mod 3`` three-colours the lattice so
-    no two edge-adjacent beams share a colour."""
+    no two edge-adjacent beams share a colour.  ``index`` may hold integer
+    columns ``q`` and ``r``, as :func:`build_layout` passes them."""
     if frf == 1:
         return 0
     if frf == 3:
@@ -286,10 +344,11 @@ def build_layout(config: ScenarioConfig) -> BeamLayout:
     """Place the hexagonal beam grid on the UV-plane.
 
     Beam ids follow :func:`hex_grid` order.  The build aborts with
-    :class:`HorizonError` if any beam hexagon would poke past the horizon
-    disk, because points beyond it cannot be projected onto the Earth.
-    Cells are enumerated lazily, so a ring count far past the horizon fails
-    at the first beam outside it instead of listing every cell first.
+    :class:`HorizonError`, for the first beam in id order, if any beam
+    hexagon would poke past the horizon disk, because points beyond it
+    cannot be projected onto the Earth.  The beams are built as columns, of
+    no more rings than the horizon admits, so a ring count far past the
+    horizon fails as fast as one just past it.
     """
     radius = beam_radius(config.beamwidth_3db_deg)
     spacing = adjacent_beam_spacing(config.beamwidth_3db_deg)
@@ -297,27 +356,25 @@ def build_layout(config: ScenarioConfig) -> BeamLayout:
         config.center_elevation_deg, config.earth_radius_km, config.altitude_km
     )
     limit = horizon_limit(config.satellite())
-    beams = []
-    for i, idx in enumerate(_hex_cells(config.ring_count)):
-        center = UvPoint(
-            u_c + spacing * (idx.q + 0.5 * idx.r),
-            spacing * (_SQRT3_2 * idx.r),
+    # Every cell of ring n lies at least n * spacing * sqrt(3) / 2 from the
+    # centre beam, at u_c >= 0, so from ring (limit + u_c) / (spacing *
+    # sqrt(3) / 2) on every beam is past the horizon.  One ring more absorbs
+    # round-off; the first bad beam, if any, lies in the rings built.
+    rings = min(config.ring_count, math.ceil((limit + u_c) / (_SQRT3_2 * spacing)) + 1)
+    q, r, ring = _hex_columns(rings)
+    u = u_c + spacing * (q + 0.5 * r)
+    v = spacing * (_SQRT3_2 * r)
+    # UvPoint.norm() on columns: math.hypot element by element.
+    extent = _each(math.hypot)(u, v) + radius
+    bad = np.flatnonzero(extent > limit)
+    if len(bad):
+        i = bad[0].item()
+        raise HorizonError(
+            f"beam {i} at hex ({q[i]}, {r[i]}) spans UV radius {extent[i].item():.9g}, "
+            f"beyond the horizon limit {limit:.9g}"
         )
-        extent = center.norm() + radius
-        if extent > limit:
-            raise HorizonError(
-                f"beam {i} at hex ({idx.q}, {idx.r}) spans UV radius {extent:.9g}, "
-                f"beyond the horizon limit {limit:.9g}"
-            )
-        role = BeamRole.STATISTICS if idx.ring() <= STATISTICS_RINGS else BeamRole.INTERFERENCE
-        beams.append(
-            Beam(
-                id=i,
-                index=idx,
-                center_uv=center,
-                radius=radius,
-                color=frf_color(idx, config.frf),
-                role=role,
-            )
-        )
-    return BeamLayout(tuple(beams), radius, spacing, u_c)
+    # frf_color reads only .q and .r; FRF 1's scalar 0 becomes a column.
+    color = np.zeros_like(q) + frf_color(SimpleNamespace(q=q, r=r), config.frf)
+    role = np.where(ring <= STATISTICS_RINGS, BeamRole.STATISTICS.value, BeamRole.INTERFERENCE.value)
+    beams = BeamTable(np.arange(len(q), dtype=np.int64), q, r, u, v, color, role, radius=radius)
+    return BeamLayout(beams, radius, spacing, u_c)

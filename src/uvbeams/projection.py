@@ -156,8 +156,10 @@ def horizon_limit(sat: SatelliteState) -> float:
 
 
 def _each(fn: Callable) -> Callable:
-    """``fn`` applied element by element to NumPy columns."""
-    return lambda *cols: np.fromiter(map(fn, *(c.tolist() for c in cols)), np.float64, len(cols[0]))
+    """``fn`` applied element by element to NumPy columns.  A memoryview
+    yields each element as the Python number ``tolist()`` would, without
+    building the list."""
+    return lambda *cols: np.fromiter(map(fn, *map(memoryview, cols)), np.float64, len(cols[0]))
 
 
 _LIBM = (math.hypot, math.asin, math.atan2, math.acos, math.sin, math.cos)
@@ -227,11 +229,11 @@ def _project_columns(u: np.ndarray, v: np.ndarray, sat: SatelliteState, pick: Ca
     """Rows ``pick(*outputs)`` of :func:`_line_of_sight` over the UV columns
     ``u`` and ``v``, computed :data:`_CHUNK` points at a time.  A point past
     the horizon raises the scalar path's :class:`HorizonError` for the first
-    such point."""
-    out = None
-    for start in range(0, len(u), _CHUNK):
+    such point.  Empty columns make one empty pass, so the result still has
+    its rows."""
+    for start in range(0, len(u) or 1, _CHUNK):
         rows = pick(*_line_of_sight(u[start : start + _CHUNK], v[start : start + _CHUNK], sat, *_COLUMNS))
-        if out is None:
+        if start == 0:
             out = np.empty((len(rows), len(u)))
         out[:, start : start + _CHUNK] = rows
     return out

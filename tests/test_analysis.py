@@ -135,6 +135,17 @@ class TestBeamStats:
         with pytest.raises(ValueError):
             beam_stats([], frf1_layout, bins=10)
 
+    def test_zero_beam_layout_gives_empty_tables(self, frf1_layout, leo_sat):
+        # Each result is made whole even when no chunk of beams is projected.
+        empty = dataclasses.replace(frf1_layout, beams=())
+        ues = drop_ues(empty, leo_sat, 5, seed=3)
+        assert [c.shape for c in ues.columns()] == [(0,)] * 11
+        footprints = project_footprints(empty, leo_sat, 8)
+        assert len(footprints) == 0 and footprints.x_km.shape == (0, 49)
+        assert [len(c) for c in footprints.columns()] == [0] * 5
+        with pytest.raises(ValueError, match="no UE records to aggregate"):
+            beam_stats(ues, empty)
+
     def test_bad_bins_rejected(self, frf1_layout, leo_sat):
         ues = drop_ues(frf1_layout, leo_sat, 1, seed=0)
         with pytest.raises(ValueError):

@@ -17,7 +17,18 @@ import pytest
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 import uvbeams
-from uvbeams import BeamRole, HorizonError, ScenarioConfig, build_layout, horizon_limit, preset, run, scenario_summary
+from uvbeams import (
+    Beam,
+    BeamRole,
+    HexIndex,
+    HorizonError,
+    ScenarioConfig,
+    build_layout,
+    horizon_limit,
+    preset,
+    run,
+    scenario_summary,
+)
 from uvbeams.cli import (
     BEAMS_CSV_HEADER,
     FOOTPRINTS_CSV_HEADER,
@@ -146,6 +157,28 @@ class TestRun:
         assert doc["global"]["ue_count"] == 610
         assert len(doc["beams"]) == 61
         assert all(len(b["histogram"]) == 10 for b in doc["beams"])
+
+    def test_wide_run_builds_no_beam_objects(self, tmp_path, monkeypatch):
+        # run() reads the layout's columns; a Beam and its HexIndex are made
+        # only when a library user reads one.
+        made = Counter()
+
+        def count(cls):
+            init = cls.__init__
+
+            def counting_init(self, *args, **kwargs):
+                made[cls.__name__] += 1
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+
+        count(Beam)
+        count(HexIndex)
+        build_layout(GOLDEN_CONFIGS["wide"]).beams[0]
+        assert made == {"Beam": 1, "HexIndex": 1}
+        made.clear()
+        run(GOLDEN_CONFIGS["wide"], tmp_path)
+        assert not made
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = ScenarioConfig(
@@ -401,10 +434,14 @@ class TestMain:
                 ["--beamwidth-deg", "1e-320", "--altitude-km", "1200", "--rings", "1", "--ues-per-beam", "2"],
                 "3 dB beamwidth 1e-320 degrees is too small: its UV radius 8.89318163e-323 is below 2**-48",
             ),
+            (
+                ["--beamwidth-deg", "1e-9", "--altitude-km", "1200", "--rings", "40000"],
+                "rings must be at least 0 and below 37837, got 40000",
+            ),
         ],
         ids=[
             "preset_without_colon", "earth_radius_orbit", "altitude_orbit", "altitude_ratio",
-            "beamwidth_radius_0", "beamwidth_radius_below_2**-48",
+            "beamwidth_radius_0", "beamwidth_radius_below_2**-48", "rings_past_beam_id_range",
         ],
     )
     def test_rejected_config_writes_nothing(self, tmp_path, capsys, argv, message):

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from uvbeams import (
+    Beam,
+    BeamTable,
     HexIndex,
     HorizonError,
     ScenarioConfig,
@@ -26,7 +30,8 @@ from uvbeams import (
 from uvbeams import layout as layout_module
 from uvbeams.layout import SQRT3, BeamRole
 
-# The count rule's ranges: least value and exclusive bound (None: no bound).
+# The count rule's ranges: least value and exclusive bound (None: none
+# checked here; the ring bound, 37837, has its own test).
 COUNT_RANGES = [
     ("rings", 0, None),
     ("ues_per_beam", 1, None),
@@ -187,6 +192,33 @@ class TestCountRule:
         checked = layout_module._check_count("seed", np.uint64(2**64 - 1))
         assert checked == 2**64 - 1 and type(checked) is int
 
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [
+            ("rings", 37837, "rings must be at least 0 and below 37837, got 37837"),
+            ("beam_id", 2**32, "beam_id must be at least 0 and below 2**32, got 4294967296"),
+            ("bins", 0, "bins must be at least 1, got 0"),
+        ],
+    )
+    def test_message_names_the_bound(self, name, value, message):
+        with pytest.raises(ValueError) as info:
+            layout_module._check_count(name, value)
+        assert str(info.value) == message
+
+    def test_ring_bound_keeps_beam_ids_below_2_to_32(self):
+        # 1 + 3 R (R + 1) beams, ids 0 to that count - 1.  Checked by
+        # validation only: a layout of 37836 rings holds 4.3e9 beams.
+        def beams(rings):
+            return 1 + 3 * rings * (rings + 1)
+
+        assert layout_module._COUNT_RANGE["rings"] == (0, 37837)
+        assert beams(37836) <= 2**32 < beams(37837)
+        assert layout_module._check_count("rings", 37836) == 37836
+        assert ScenarioConfig(beamwidth_3db_deg=1e-9, altitude_km=1200.0, rings=37836).ring_count == 37836
+        for rings in (37837, 40000):
+            with pytest.raises(ValueError, match=f"rings must be at least 0 and below 37837, got {rings}"):
+                ScenarioConfig(beamwidth_3db_deg=1e-9, altitude_km=1200.0, rings=rings)
+
     def test_unknown_name_is_not_skipped(self):
         with pytest.raises(KeyError):
             layout_module._check_count("ues_per_bean", 0)
@@ -294,6 +326,10 @@ class TestScenarioConfig:
             {"altitude_km": 1e200},
             {"beamwidth_3db_deg": 1e-320, "rings": 1, "ues_per_beam": 2},
             {"earth_radius_km": 1.3e154},
+            # Beam ids past 2**32; accepted before, the build then ran
+            # until killed.
+            {"beamwidth_3db_deg": 1e-9, "rings": 40000},
+            {"rings": 37837},
         ],
     )
     def test_validation(self, kwargs):
@@ -353,6 +389,27 @@ class TestScenarioConfig:
         config = ScenarioConfig(beamwidth_3db_deg=4.4127, altitude_km=1200, earth_radius_km=6371)
         assert type(config.altitude_km) is int and type(config.earth_radius_km) is int
         assert type(config.beamwidth_3db_deg) is float
+
+
+class TestBeamTable:
+    def test_items_are_beams_and_slices_are_tables(self, frf3_layout):
+        table = frf3_layout.beams
+        beams = list(table)
+        assert len(beams) == len(table) == 127
+        assert all(type(b) is Beam for b in beams)
+        assert table[5] == beams[5] and table[-1] == beams[-1]
+        for part in (slice(10, 20, 3), slice(None, None, -1), slice(5, 5)):
+            assert type(table[part]) is BeamTable and list(table[part]) == beams[part]
+
+    def test_columns_hold_the_beam_fields(self, frf3_layout):
+        rows = [(b.id, b.index.q, b.index.r, b.center_uv.u, b.center_uv.v, b.color, b.role.value) for b in frf3_layout]
+        assert list(zip(*(c.tolist() for c in frf3_layout.beams.columns()))) == rows
+
+    def test_replace_with_beams_gives_an_equal_layout(self, frf1_layout, frf3_layout):
+        again = dataclasses.replace(frf3_layout, beams=list(frf3_layout))
+        assert type(again.beams) is BeamTable and again.beams is not frf3_layout.beams
+        assert again == frf3_layout and frf1_layout != frf3_layout
+        assert dataclasses.replace(frf3_layout, beams=frf3_layout.beams[:-1]) != frf3_layout
 
 
 class TestBuildLayout:
@@ -446,9 +503,10 @@ class TestBuildLayout:
                 )
             )
 
-    def test_horizon_check_stops_ring_enumeration(self, monkeypatch):
-        # set2:leo_s already leaves the horizon within its default 4 rings, so
-        # 50 rings must fail at the same beam, after only the cells before it.
+    def test_horizon_check_builds_only_the_rings_the_horizon_admits(self, monkeypatch):
+        # set2:leo_s already leaves the horizon within its default 4 rings.
+        # 50 rings, and the most rings the count rule accepts, must fail at
+        # the same beam with the same message, without building their grid.
         def build(rings):
             config = ScenarioConfig(beamwidth_3db_deg=8.832, altitude_km=1200.0, rings=rings)
             with pytest.raises(HorizonError) as info:
@@ -456,17 +514,19 @@ class TestBuildLayout:
             return str(info.value)
 
         expected = build(4)
-        yielded = []
-        cells = layout_module._hex_cells
+        built = []
+        columns = layout_module._hex_columns
 
-        def counting_cells(rings):
-            for cell in cells(rings):
-                yielded.append(cell)
-                yield cell
+        def recording_columns(rings):
+            built.append(rings)
+            return columns(rings)
 
-        monkeypatch.setattr(layout_module, "_hex_cells", counting_cells)
-        message = build(50)
-        assert message == expected
-        first_bad = int(message.split()[1])
-        assert len(yielded) == first_bad + 1
-        assert yielded[-1].ring() <= 4
+        monkeypatch.setattr(layout_module, "_hex_columns", recording_columns)
+        assert build(50) == expected
+        start = time.perf_counter()
+        assert build(37836) == expected
+        assert time.perf_counter() - start < 1.0
+        # The centre sits at u 0.288 and ring n at least n * 0.1155 from it,
+        # so from ring 10 on every beam is past the limit 0.8415; the build
+        # makes one ring more than that.
+        assert built == [11, 11]

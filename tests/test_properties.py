@@ -20,7 +20,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from test_golden import CONFIGS  # noqa: E402
-from test_reference_kernels import ref_beam_stats, ref_drop_ues, ref_footprint, ref_stats_doc  # noqa: E402
+from test_reference_kernels import (  # noqa: E402
+    assert_layout_matches_reference,
+    ref_beam_stats,
+    ref_build_layout,
+    ref_drop_ues,
+    ref_footprint,
+    ref_stats_doc,
+)
 from uvbeams import (  # noqa: E402
     RNG_ALGORITHM,
     RNG_STREAM_RULE,
@@ -213,12 +220,30 @@ def test_drop_decodes_the_draws_of_each_beams_generator(key, frf, seed, ues_per_
     assert [ue.uv for ue in ues] == expected
 
 
+@deterministic
+@given(
+    beamwidth=st.sampled_from(sorted(PRESET_BEAMWIDTH_DEG.values())) | st.floats(0.01, 60.0),
+    altitude=st.sampled_from([1200.0, 35786.0]) | st.floats(300.0, 40000.0),
+    frf=st.sampled_from([1, 3]),
+    rings=st.integers(0, 40),
+    elevation=st.sampled_from([90.0, 70.0, 45.0, 30.0, 12.5]) | st.floats(0.01, 90.0),
+)
+def test_layout_matches_the_scalar_loop(beamwidth, altitude, frf, rings, elevation):
+    # The column build makes no more rings than the horizon admits; the
+    # loop stops at the first bad beam.  Both must accept and reject alike.
+    assert_layout_matches_reference(
+        ScenarioConfig(beamwidth_3db_deg=beamwidth, altitude_km=altitude, frf=frf, rings=rings,
+                       center_elevation_deg=elevation)
+    )
+
+
 def independent_run(config: ScenarioConfig, bins: int, edge_samples: int) -> dict[str, str]:
-    """The text of each of ``run()``'s five files, made from the layout, the
-    per-UE and per-point reference kernels, ``json.dumps`` and one ``%`` per
-    CSV row.  No drop, projection, statistics or writer code of the package
-    is used, so the two sides fail apart."""
-    layout = build_layout(config)
+    """The text of each of ``run()``'s five files, made from the scalar
+    layout loop, the per-UE and per-point reference kernels, ``json.dumps``
+    and one ``%`` per CSV row.  Of the package's layout code only the
+    lattice constants and the ``Beam`` records are used, and no drop,
+    projection, statistics or writer code, so the two sides fail apart."""
+    layout = ref_build_layout(config)
     sat = config.satellite()
     ues = ref_drop_ues(layout, sat, config.ues_per_beam, config.seed)
 

@@ -1,8 +1,8 @@
 """The hot functions against straightforward reference versions.
 
 The references below are the original, unoptimised implementations of the
-hexagon sampler, the line-of-sight projection, the per-UE drop, the
-per-point footprint and the per-beam statistics, the ``json.dump``
+beam layout, the hexagon sampler, the line-of-sight projection, the per-UE
+drop, the per-point footprint and the per-beam statistics, the ``json.dump``
 document the ``stats.json`` writer replaces, and the whole-table pipeline
 that ``run()`` streams in beam chunks.  The package versions must
 reproduce them exactly (``==``, not a tolerance, and the same sign bits):
@@ -27,20 +27,28 @@ from test_golden import CONFIGS
 from uvbeams import (
     RNG_ALGORITHM,
     RNG_STREAM_RULE,
+    STATISTICS_RINGS,
+    Beam,
+    BeamLayout,
     BeamRole,
     BeamStats,
     Footprint,
     GroundPoint,
+    HexIndex,
     HorizonError,
     LosGeometry,
     SatelliteState,
     UeRecord,
     UeTable,
     UvPoint,
+    adjacent_beam_spacing,
+    beam_radius,
     beam_rng,
     beam_stats,
     build_layout,
+    center_offset,
     drop_ues,
+    frf_color,
     hexagon_vertices,
     horizon_limit,
     los_geometry,
@@ -50,6 +58,7 @@ from uvbeams import (
     uv_to_earth,
 )
 from uvbeams.cli import (
+    PRESET_BEAMWIDTH_DEG,
     _BEAMS_ROW,
     _FOOTPRINTS_ROW,
     _UES_ROW,
@@ -60,9 +69,62 @@ from uvbeams.cli import (
     _csv,
     _stats_json,
     _write,
+    preset,
     run,
 )
 from uvbeams.projection import _CHUNK, _COLUMNS, _each, _line_of_sight
+
+
+def ref_hex_cells(rings):
+    """Cells in ring-major order, each ring walked counter-clockwise from
+    (n, 0)."""
+    yield HexIndex(0, 0)
+    for n in range(1, rings + 1):
+        q, r = n, 0
+        for dq, dr in ((-1, 1), (-1, 0), (0, -1), (1, -1), (1, 0), (0, 1)):
+            for _ in range(n):
+                yield HexIndex(q, r)
+                q += dq
+                r += dr
+
+
+def ref_build_layout(config):
+    """The layout as a scalar loop: one beam per cell, each checked against
+    the horizon as it is made, so the loop stops at the first bad beam."""
+    radius = beam_radius(config.beamwidth_3db_deg)
+    spacing = adjacent_beam_spacing(config.beamwidth_3db_deg)
+    u_c = center_offset(config.center_elevation_deg, config.earth_radius_km, config.altitude_km)
+    limit = horizon_limit(config.satellite())
+    beams = []
+    for i, idx in enumerate(ref_hex_cells(config.ring_count)):
+        center = UvPoint(u_c + spacing * (idx.q + 0.5 * idx.r), spacing * (math.sqrt(3.0) / 2.0 * idx.r))
+        extent = center.norm() + radius
+        if extent > limit:
+            raise HorizonError(
+                f"beam {i} at hex ({idx.q}, {idx.r}) spans UV radius {extent:.9g}, "
+                f"beyond the horizon limit {limit:.9g}"
+            )
+        role = BeamRole.STATISTICS if idx.ring() <= STATISTICS_RINGS else BeamRole.INTERFERENCE
+        beams.append(Beam(i, idx, center, radius, frf_color(idx, config.frf), role))
+    return BeamLayout(tuple(beams), radius, spacing, u_c)
+
+
+def assert_layout_matches_reference(config):
+    """``build_layout`` and :func:`ref_build_layout` accept or reject
+    ``config`` alike: the same beams and columns, bit for bit, or the same
+    :class:`HorizonError` text."""
+    try:
+        expected = ref_build_layout(config)
+    except HorizonError as exc:
+        with pytest.raises(HorizonError) as info:
+            build_layout(config)
+        assert str(info.value) == str(exc)
+        return
+    layout = build_layout(config)
+    assert (layout.beam_radius, layout.spacing, layout.center_offset_u) == (
+        expected.beam_radius, expected.spacing, expected.center_offset_u)
+    assert layout.beams == expected.beams
+    assert_identical(list(layout), list(expected))
 
 
 def ref_sample_point_in_hexagon(center, circumradius, rng):
@@ -206,9 +268,11 @@ def ref_stats_doc(stats, bins, ue_count):
 
 
 def flat(value):
-    """The numbers in a record, footprint or tuple, depth first."""
+    """The numbers in a record, beam, footprint or tuple, depth first."""
     if isinstance(value, (int, float)):
         return [value]
+    if isinstance(value, str):  # a beam's role
+        return []
     if dataclasses.is_dataclass(value):
         value = [getattr(value, f.name) for f in dataclasses.fields(value)]
     return [x for item in value for x in flat(item)]
@@ -490,6 +554,13 @@ def test_footprints_match_reference_at_chunk_boundaries(samples_per_edge):
     assert step == 1 or len(layout) % step
     footprints = project_footprints(layout, sat, samples_per_edge)
     assert_identical(list(footprints), [ref_footprint(b, sat, samples_per_edge) for b in layout])
+
+
+@pytest.mark.parametrize("frf", [1, 3])
+@pytest.mark.parametrize("key", sorted(PRESET_BEAMWIDTH_DEG), ids=":".join)
+def test_layout_matches_reference_on_presets(key, frf):
+    for elevation in (90.0, 70.0, 45.0, 30.0, 12.5):
+        assert_layout_matches_reference(dataclasses.replace(preset(*key), frf=frf, center_elevation_deg=elevation))
 
 
 def ref_run(config, out_dir, bins, edge_samples):
