@@ -17,6 +17,7 @@ from .layout import (
     BeamRole,
     ScenarioConfig,
     _check_count,
+    _Table,
     adjacent_beam_spacing,
     beam_radius,
     center_offset,
@@ -60,33 +61,22 @@ class Footprint:
     boundary: tuple[GroundPoint, ...]
 
 
-class FootprintTable:
+class FootprintTable(_Table):
     """Projected beam boundaries: ``beam_id`` holds one id per footprint, and
     ``x_km``, ``y_km`` and ``z_km`` one row of boundary points per footprint,
-    the first point repeated at the end.  An int index and iteration yield
-    :class:`Footprint`s, and a slice yields a table."""
+    the first point repeated at the end.  Its records are
+    :class:`Footprint`s."""
 
-    # A plain class, like UeTable, to keep import cheap.
     __slots__ = ("beam_id", "x_km", "y_km", "z_km")
+    _dtypes = (np.int64,) + (np.float64,) * 3
 
-    def __init__(self, beam_id: np.ndarray, x_km: np.ndarray, y_km: np.ndarray, z_km: np.ndarray) -> None:
-        self.beam_id, self.x_km, self.y_km, self.z_km = beam_id, x_km, y_km, z_km
-
-    def __len__(self) -> int:
-        return len(self.beam_id)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return FootprintTable(self.beam_id[index], self.x_km[index], self.y_km[index], self.z_km[index])
-        rows = (self.x_km[index].tolist(), self.y_km[index].tolist(), self.z_km[index].tolist())
-        return Footprint(self.beam_id[index].item(), tuple(map(GroundPoint, *rows)))
-
-    def __iter__(self) -> Iterator[Footprint]:
-        return map(self.__getitem__, range(len(self)))
+    @staticmethod
+    def _record(beam_id: int, x: list[float], y: list[float], z: list[float]) -> Footprint:
+        return Footprint(beam_id, tuple(map(GroundPoint, x, y, z)))
 
     def columns(self) -> list[np.ndarray]:
         """Beam id, vertex index, x, y, z per point, as in ``footprints.csv``."""
-        points = self.x_km.shape[1]
+        points = self.x_km.shape[-1]
         index = np.tile(np.arange(points), len(self))
         return [self.beam_id.repeat(points), index, self.x_km.ravel(), self.y_km.ravel(), self.z_km.ravel()]
 

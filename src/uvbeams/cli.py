@@ -223,8 +223,9 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
     """Run the full pipeline and write the output files into ``out_dir``.
 
     Every check and every whole-run allocation comes before ``out_dir`` is
-    made: a drop whose UE ids would pass ``2**63``, or whose slant ranges
-    cannot be allocated, raises :class:`ValueError` with nothing written.
+    made: a drop whose UE ids would pass ``2**63``, or a ``ues_per_beam``,
+    ``bins`` or ``edge_samples`` whose arrays cannot be allocated, raises
+    :class:`ValueError` with nothing written.
     Each file is replaced atomically.  A stale manifest is removed before the
     data files are written and the new one is written last, so a run that
     fails partway leaves no manifest beside data files it does not describe.
@@ -233,14 +234,20 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
     _check_count("bins", bins)
     _check_count("samples_per_edge", edge_samples)
     sat = config.satellite()
-    # The statistics need only each UE's slant range and each beam's
-    # elevation extrema.
     n = config.ues_per_beam
     _check_count("beams * ues_per_beam", len(layout) * n)
-    try:
-        slants, extrema = np.empty(len(layout) * n), np.empty((2, len(layout)))
-    except (MemoryError, ValueError):  # NumPy raises ValueError past its size limit
-        raise ValueError(f"ues_per_beam={n} needs {8 * len(layout) * n} bytes of slant ranges, which cannot be allocated") from None
+    # Each array a parameter sizes is tried here: the slant ranges, which
+    # with each beam's elevation extrema are all the statistics need; the
+    # bins + 1 shared bin edges; and one beam's boundary points, the least
+    # footprint chunk.
+    sizes = (("ues_per_beam", n, len(layout) * n, "slant ranges"), ("bins", bins, bins + 1, "bin edges"),
+             ("edge_samples", edge_samples, 3 * (6 * edge_samples + 1), "one beam's boundary points"))
+    for name, value, size, what in sizes:
+        try:
+            np.empty(size)
+        except (MemoryError, ValueError):  # NumPy raises ValueError past its size limit
+            raise ValueError(f"{name}={value} needs {8 * size} bytes of {what}, which cannot be allocated") from None
+    slants, extrema = np.empty(len(layout) * n), np.empty((2, len(layout)))
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .layout import _CORNER_UNIT, BeamLayout, _check_count
+from .layout import _CORNER_UNIT, BeamLayout, _check_count, _Table
 from .projection import GroundPoint, SatelliteState, UvPoint, _project_columns, _shown, _uv_point
 
 __all__ = [
@@ -63,49 +63,27 @@ class UeRecord:
     aod_deg: float
 
 
-class UeTable:
+class UeTable(_Table):
     """A UE drop as NumPy columns, in the order of ``ues.csv``: the
-    :class:`UeRecord` fields, with ``uv`` and ``ground`` split.  An int index
-    and iteration yield :class:`UeRecord`s of Python numbers, a slice yields
-    a table, and ``==`` compares every column."""
+    :class:`UeRecord` fields, with ``uv`` and ``ground`` split.  Its records
+    are :class:`UeRecord`s."""
 
-    # A plain class: as a dataclass it would add about a millisecond to import.
     __slots__ = ("ue_id", "beam_id", "u", "v", "x_km", "y_km", "z_km",
                  "slant_range_km", "elevation_deg", "zod_deg", "aod_deg")
-
-    def __init__(self, *columns: np.ndarray) -> None:
-        for name, column in zip(self.__slots__, columns, strict=True):
-            setattr(self, name, column)
+    _dtypes = (np.int64,) * 2 + (np.float64,) * 9
 
     @classmethod
     def from_records(cls, records: Iterable[UeRecord]) -> UeTable:
         """The table of ``records``, any iterable of :class:`UeRecord`s."""
-        rows = [
+        return cls.from_rows(
             (r.ue_id, r.beam_id, r.uv.u, r.uv.v, r.ground.x_km, r.ground.y_km, r.ground.z_km,
              r.slant_range_km, r.elevation_deg, r.zod_deg, r.aod_deg)
             for r in records
-        ]
-        columns = list(zip(*rows)) or [()] * len(cls.__slots__)
-        dtypes = (np.int64 if name.endswith("_id") else np.float64 for name in cls.__slots__)
-        return cls(*map(np.array, columns, dtypes))
+        )
 
-    def columns(self) -> list[np.ndarray]:
-        return [getattr(self, name) for name in self.__slots__]
-
-    def __len__(self) -> int:
-        return len(self.ue_id)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return UeTable(*(c[index] for c in self.columns()))
-        ue_id, beam_id, u, v, x, y, z, *link = (c[index].item() for c in self.columns())
+    @staticmethod
+    def _record(ue_id: int, beam_id: int, u: float, v: float, x: float, y: float, z: float, *link: float) -> UeRecord:
         return UeRecord(ue_id, beam_id, UvPoint(u, v), GroundPoint(x, y, z), *link)
-
-    def __iter__(self) -> Iterator[UeRecord]:
-        return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other):
-        return isinstance(other, UeTable) and all(map(np.array_equal, self.columns(), other.columns()))
 
 
 def beam_rng(seed: int, beam_id: int) -> np.random.Generator:

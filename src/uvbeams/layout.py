@@ -147,45 +147,67 @@ class Beam:
         return hexagon_vertices(self.center_uv, self.radius)
 
 
-class BeamTable:
-    """The beams of a layout as NumPy columns, in the order of ``beams.csv``:
-    id, axial ``q`` and ``r``, the centre's ``u`` and ``v``, colour and role
-    value.  ``radius`` is the circumradius every beam shares.  An int index
-    and iteration yield :class:`Beam`s, a slice yields a table, and ``==``
-    compares every column."""
+class _Table:
+    """Columns of one length, and the record of each row.  A subclass's
+    ``__slots__`` name its columns, one for each of its ``_dtypes``, then
+    the values every row shares, which the constructor takes by keyword;
+    its ``_record`` makes one row's record from the row's cells, each the
+    ``tolist()`` of its element: a Python number, or a list for a row of a
+    2-D column.  An int index and iteration yield records, a slice yields a
+    table of the same class and shared values, and ``==`` compares every
+    column and shared value."""
 
-    # A plain class, like UeTable, to keep import cheap.
-    __slots__ = ("id", "q", "r", "u", "v", "color", "role", "radius")
+    # Plain classes: as dataclasses they would add about a millisecond to
+    # import.
+    __slots__ = ()
+    _dtypes: tuple = ()
 
-    def __init__(self, *columns: np.ndarray, radius: float) -> None:
-        for name, column in zip(self.__slots__[:-1], columns, strict=True):
-            setattr(self, name, column)
-        self.radius = radius
+    def __init__(self, *columns: np.ndarray, **shared) -> None:
+        values = (*columns, *map(shared.pop, self.__slots__[len(self._dtypes) :]))
+        for name, value in zip(self.__slots__, values, strict=True):
+            setattr(self, name, value)
 
     @classmethod
-    def from_beams(cls, beams: Iterable[Beam], radius: float) -> BeamTable:
-        """The table of ``beams``, any iterable of :class:`Beam`s."""
-        rows = [(b.id, b.index.q, b.index.r, b.center_uv.u, b.center_uv.v, b.color, b.role.value) for b in beams]
-        columns = list(zip(*rows)) or [()] * 7
-        return cls(*map(np.array, columns, (np.int64,) * 3 + (np.float64,) * 2 + (np.int64, str)), radius=radius)
+    def from_rows(cls, rows: Iterable[tuple], **shared) -> _Table:
+        """The table of ``rows``, each a tuple of one row's cells in column
+        order, with the ``shared`` values."""
+        columns = list(zip(*rows)) or [()] * len(cls._dtypes)
+        return cls(*map(np.array, columns, cls._dtypes), **shared)
 
-    def columns(self) -> list[np.ndarray]:
-        return [getattr(self, name) for name in self.__slots__[:-1]]
+    def _stored(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in self.__slots__[: len(self._dtypes)]]
+
+    # The columns of this table's CSV file; a table whose file has other
+    # columns than it stores overrides this, and nothing here calls it.
+    columns = _stored
 
     def __len__(self) -> int:
-        return len(self.id)
+        return len(getattr(self, self.__slots__[0]))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return BeamTable(*(c[index] for c in self.columns()), radius=self.radius)
-        beam_id, q, r, u, v, color, role = (c[index].item() for c in self.columns())
-        return Beam(beam_id, HexIndex(q, r), UvPoint(u, v), self.radius, color, BeamRole(role))
+            shared = {name: getattr(self, name) for name in self.__slots__[len(self._dtypes) :]}
+            return type(self)(*(c[index] for c in self._stored()), **shared)
+        return self._record(*(c[index].tolist() for c in self._stored()))
 
-    def __iter__(self) -> Iterator[Beam]:
+    def __iter__(self) -> Iterator:
         return map(self.__getitem__, range(len(self)))
 
     def __eq__(self, other):
-        return isinstance(other, BeamTable) and self.radius == other.radius and all(map(np.array_equal, self.columns(), other.columns()))
+        return type(other) is type(self) and all(np.array_equal(getattr(self, n), getattr(other, n)) for n in self.__slots__)
+
+
+class BeamTable(_Table):
+    """The beams of a layout as NumPy columns, in the order of ``beams.csv``:
+    id, axial ``q`` and ``r``, the centre's ``u`` and ``v``, colour and role
+    value.  ``radius`` is the circumradius every beam shares.  Its records
+    are :class:`Beam`s."""
+
+    __slots__ = ("id", "q", "r", "u", "v", "color", "role", "radius")
+    _dtypes = (np.int64,) * 3 + (np.float64,) * 2 + (np.int64, str)
+
+    def _record(self, beam_id: int, q: int, r: int, u: float, v: float, color: int, role: str) -> Beam:
+        return Beam(beam_id, HexIndex(q, r), UvPoint(u, v), self.radius, color, BeamRole(role))
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,7 +224,8 @@ class BeamLayout:
 
     def __post_init__(self) -> None:
         if not isinstance(self.beams, BeamTable):
-            object.__setattr__(self, "beams", BeamTable.from_beams(self.beams, self.beam_radius))
+            rows = ((b.id, b.index.q, b.index.r, b.center_uv.u, b.center_uv.v, b.color, b.role.value) for b in self.beams)
+            object.__setattr__(self, "beams", BeamTable.from_rows(rows, radius=self.beam_radius))
 
     def __len__(self) -> int:
         return len(self.beams)

@@ -172,8 +172,10 @@ _LIBM = (math.hypot, math.asin, math.atan2, math.acos, math.sin, math.cos)
 _COLUMNS = (*map(_each, _LIBM), np.sqrt, np.minimum,
             lambda d_uv, limit: next(iter(d_uv[~(d_uv <= limit)].tolist()), None))
 
-# Points per kernel call on columns: the Python floats of one chunk are the
-# only per-point objects alive at a time.
+# Points per kernel call on columns.  _each makes each Python float one at
+# a time, so the chunk bounds the kernel's NumPy temporaries: about a dozen
+# float64 arrays of this length per call, the drop's peak memory beyond its
+# table.
 _CHUNK = 2048
 
 

@@ -556,6 +556,21 @@ class TestMain:
             run(config, out)
         assert not out.exists()
 
+    @pytest.mark.parametrize("name,value,needed", [
+        ("bins", 10**12, 8 * (10**12 + 1)),
+        ("bins", 2**63 - 1, 8 * 2**63),
+        ("edge_samples", 10**12, 24 * (6 * 10**12 + 1)),
+        ("edge_samples", 2**63 - 1, 24 * (6 * (2**63 - 1) + 1)),
+    ])
+    def test_grid_too_large_to_allocate_raises_before_out_dir(self, tmp_path, name, value, needed):
+        # The bin edges or one beam's boundary points: past any address
+        # space, or too big for NumPy to size.
+        out = tmp_path / "o"
+        config = dataclasses.replace(preset("set1", "leo_s"), rings=1, ues_per_beam=2)
+        with pytest.raises(ValueError, match=f"^{name}={value} needs {needed} bytes of"):
+            run(config, out, **{name: value})
+        assert not out.exists()
+
 
 class TestModuleEntryPoint:
     def _run(self, *args):
@@ -593,4 +608,13 @@ class TestModuleEntryPoint:
             "uvbeams: error: ues_per_beam=1000000000000 needs 488000000000000 bytes"
             " of slant ranges, which cannot be allocated\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,name", [("--bins", "bins"), ("--edge-samples", "edge_samples")])
+    def test_grid_too_large_to_allocate_exits_1_with_nothing_written(self, tmp_path, flag, name):
+        out = tmp_path / "o"
+        proc = self._run("--preset", "set1:leo_s", "--rings", "1", "--ues-per-beam", "2", flag, str(10**12), "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"uvbeams: error: {name}=1000000000000 needs ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith(", which cannot be allocated\n")
         assert not out.exists()

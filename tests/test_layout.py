@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import re
@@ -22,10 +23,12 @@ from uvbeams import (
     beam_radius,
     build_layout,
     center_offset,
+    drop_ues,
     frf_color,
     hex_grid,
     hexagon_contains,
     hexagon_vertices,
+    project_footprints,
 )
 from uvbeams import layout as layout_module
 from uvbeams.layout import SQRT3, BeamRole
@@ -410,6 +413,67 @@ class TestBeamTable:
         assert type(again.beams) is BeamTable and again.beams is not frf3_layout.beams
         assert again == frf3_layout and frf1_layout != frf3_layout
         assert dataclasses.replace(frf3_layout, beams=frf3_layout.beams[:-1]) != frf3_layout
+
+
+def _shared(table) -> dict:
+    """The values every row of ``table`` shares: its slots that are not
+    columns."""
+    return {name: value for name in type(table).__slots__ if not isinstance(value := getattr(table, name), np.ndarray)}
+
+
+def _one_cell_changed(value):
+    """A copy of a column with its last cell changed, or a changed shared
+    value."""
+    if not isinstance(value, np.ndarray):
+        return value * 2
+    changed = value.copy()
+    changed.flat[-1] = "changed" if value.dtype.kind == "U" else changed.flat[-1] + 1
+    return changed
+
+
+class TestTableProtocol:
+    """The row, slice and equality rules that the beam, UE and footprint
+    tables share."""
+
+    @pytest.fixture(scope="class")
+    def tables(self, frf1_layout, leo_sat):
+        return {
+            "beams": frf1_layout.beams,
+            "ues": drop_ues(frf1_layout, leo_sat, 3, seed=5),
+            "footprints": project_footprints(frf1_layout, leo_sat, samples_per_edge=2),
+        }
+
+    @pytest.fixture(params=["beams", "ues", "footprints"])
+    def table(self, request, tables):
+        return tables[request.param]
+
+    def test_equality_sees_one_cell_a_shorter_slice_and_another_type(self, table, tables):
+        assert table == table[:] and not table != table[:]
+        for name in type(table).__slots__:
+            changed = copy.copy(table)
+            setattr(changed, name, _one_cell_changed(getattr(table, name)))
+            assert changed != table and table != changed, name
+        assert table != table[:-1] and table[1:] != table
+        others = [t for t in tables.values() if t is not table]
+        for other in (list(table), table.columns(), None, *others):
+            assert table != other and not table == other
+
+    def test_a_table_of_no_rows_is_empty(self, table):
+        empty = type(table).from_rows([], **_shared(table))
+        assert type(empty) is type(table) and len(empty) == 0 and list(empty) == []
+        assert _shared(empty) == _shared(table)
+        assert [len(c) for c in empty.columns()] == [0] * len(table.columns())
+        assert type(empty[:]) is type(table) and empty == empty[:]
+        with pytest.raises(IndexError):
+            empty[0]
+
+    @pytest.mark.parametrize("part", [slice(-7, None), slice(None, -50), slice(-2, -20, -3), slice(1, None, 4), slice(None, None, -6)])
+    def test_negative_and_stepped_slices(self, table, part):
+        records = list(table)
+        piece = table[part]
+        assert type(piece) is type(table) and _shared(piece) == _shared(table)
+        assert list(piece) == records[part] and len(piece) == len(records[part])
+        assert table[-1] == records[-1] and table[-len(table)] == records[0]
 
 
 class TestBuildLayout:
