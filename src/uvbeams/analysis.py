@@ -102,7 +102,27 @@ def beam_stats(ues: UeTable | Iterable[UeRecord], layout: BeamLayout, bins: int 
     layout, or a slant range or elevation that is not finite, raises
     :class:`ValueError`.
     """
-    _check_count("bins", bins)
+    bins = _check_count("bins", bins)
+    columns = _stat_columns(*_grouped(ues, layout), bins)
+    edges = next(columns)
+    # Every histogram shares one empty cell tuple per bin, and beams with
+    # equal counts share one histogram; both are immutable.
+    empty = [(a, b, 0) for a, b in zip(edges[:-1].tolist(), edges[1:].tolist())]
+    shared: dict[bytes, tuple] = {}
+    stats = []
+    for *fields, counts in columns:
+        for (beam_id, role, *values), row in zip(zip(*(c.tolist() for c in fields)), counts):
+            key = row.tobytes()
+            if key not in shared:
+                shared[key] = tuple((*cell[:2], count) if count else cell for cell, count in zip(empty, row.tolist()))
+            stats.append(BeamStats(beam_id, BeamRole(role), *values, shared[key]))
+    return stats
+
+
+def _grouped(ues: UeTable | Iterable[UeRecord], layout: BeamLayout) -> tuple[np.ndarray, ...]:
+    """The arguments of :func:`_stat_columns` but ``bins`` for
+    :func:`beam_stats`, which checks them here: its UEs stably sorted by beam
+    id into groups, and each group's beam id, role and elevation extrema."""
     if not isinstance(ues, UeTable):
         ues = UeTable.from_records(ues)
     if not len(ues):
@@ -117,69 +137,55 @@ def beam_stats(ues: UeTable | Iterable[UeRecord], layout: BeamLayout, bins: int 
     elevations = ues.elevation_deg[order]
     extrema = np.array([f.reduceat(elevations, starts) for f in (np.minimum, np.maximum)])
     del elevations
-    return _beam_stats(beam_ids[starts].tolist(), starts, ues.slant_range_km[order], extrema, layout, bins)
+    role_of = dict(zip(layout.beams.id.tolist(), layout.beams.role.tolist()))
+    roles = list(map(role_of.get, beam_ids[starts].tolist()))
+    if None in roles:
+        raise ValueError(f"UE beam id {beam_ids[starts[roles.index(None)]]} is not in the layout")
+    return beam_ids[starts], np.array(roles), starts, ues.slant_range_km[order], extrema
 
 
-def _beam_stats(
-    group_ids: list[int],
-    starts: np.ndarray,
-    slants: np.ndarray,
-    elevation_extrema: np.ndarray,
-    layout: BeamLayout,
-    bins: int,
-) -> list[BeamStats]:
-    """:func:`beam_stats` on UEs grouped by beam: group ``i``, of beam
-    ``group_ids[i]``, is the rows from ``starts[i]`` to the next start, and
-    ``elevation_extrema[0][i]`` and ``elevation_extrema[1][i]`` are its least
-    and greatest elevation.  The caller has checked the input.  A group is a
-    contiguous slice, and its histogram and mean are taken from it; the mean
-    has the bits of ``ndarray.mean``, the same pairwise sum and division."""
-    by_value = {role.value: role for role in BeamRole}
-    roles = dict(zip(layout.beams.id.tolist(), map(by_value.get, layout.beams.role.tolist())))
-    unknown = [beam_id for beam_id in group_ids if beam_id not in roles]
-    if unknown:
-        raise ValueError(f"UE beam id {unknown[0]} is not in the layout")
-    bounds = np.append(starts, len(slants))
+def _stat_columns(
+    group_ids: np.ndarray, roles: np.ndarray, starts: np.ndarray, slants: np.ndarray, extrema: np.ndarray, bins: int
+) -> Iterator[np.ndarray | list[np.ndarray]]:
+    """The statistics of UEs grouped by beam, as columns.  Group ``i``, of
+    beam ``group_ids[i]`` and role value ``roles[i]``, is the rows of
+    ``slants`` from ``starts[i]`` to the next start, and ``extrema[0][i]`` and
+    ``extrema[1][i]`` are its least and greatest elevation.  The caller has
+    checked them.
+
+    The first item is the bin edges every beam shares.  Then come chunks of
+    consecutive groups, each of at most :data:`_CHUNK` UEs and ``_CHUNK``
+    histogram cells but at least one group.  A chunk is a list of columns:
+    beam id, role value, UE count, least, greatest and mean slant range,
+    least and greatest elevation, and the ``(groups, bins)`` histogram
+    counts.  The mean has the bits of ``ndarray.mean``, the same pairwise
+    sum and division."""
     lo = float(slants.min())
     hi = float(slants.max())
     # When every slant is equal, linspace gives the one bin [lo, lo].
     bins = bins if hi > lo else 1
+    edges = np.linspace(lo, hi, bins + 1)
+    yield edges
     # np.histogram's rule, edges[i] <= x < edges[i + 1] and the last bin
     # closed: x's bin is the count of inner edges <= x, even where edges repeat.
-    edges = np.linspace(lo, hi, bins + 1)
     inner = edges[1:-1]
-    # Every histogram shares one empty cell tuple per bin, and beams with
-    # equal counts share one histogram; both are immutable.
-    empty = [(a, b, 0) for a, b in zip(edges[:-1].tolist(), edges[1:].tolist())]
-    shared: dict[bytes, tuple] = {}
-    stats = []
-    columns = zip(
-        group_ids,
-        starts.tolist(),
-        bounds[1:].tolist(),
-        np.minimum.reduceat(slants, starts).tolist(),
-        np.maximum.reduceat(slants, starts).tolist(),
-        *elevation_extrema.tolist(),
-    )
-    for beam_id, start, end, min_slant, max_slant, min_elev, max_elev in columns:
-        counts = np.bincount(np.searchsorted(inner, slants[start:end], "right"), minlength=bins)
-        key = counts.tobytes()
-        if key not in shared:
-            shared[key] = tuple((*cell[:2], count) if count else cell for cell, count in zip(empty, counts.tolist()))
-        stats.append(
-            BeamStats(
-                beam_id=beam_id,
-                role=roles[beam_id],
-                ue_count=end - start,
-                min_slant_km=min_slant,
-                max_slant_km=max_slant,
-                mean_slant_km=float(slants[start:end].sum()) / (end - start),
-                min_elevation_deg=min_elev,
-                max_elevation_deg=max_elev,
-                histogram=shared[key],
-            )
-        )
-    return stats
+    bounds = np.append(starts, len(slants))
+    i = 0
+    while i < len(starts):
+        j = max(i + 1, min(i + _CHUNK // bins, np.searchsorted(bounds, bounds[i] + _CHUNK, "right") - 1))
+        chunk = slants[bounds[i] : bounds[j]]
+        sizes = np.diff(bounds[i : j + 1])
+        offsets = starts[i:j] - bounds[i]
+        cells = np.repeat(np.arange(0, (j - i) * bins, bins), sizes) + np.searchsorted(inner, chunk, "right")
+        # A 2-D sum along rows has the bits of each row's own sum.
+        if (sizes == sizes[0]).all():
+            sums = chunk.reshape(-1, sizes[0]).sum(axis=1)
+        else:
+            sums = np.array([group.sum() for group in np.split(chunk, offsets[1:])])
+        least, greatest = (f.reduceat(chunk, offsets) for f in (np.minimum, np.maximum))
+        counts = np.bincount(cells, minlength=(j - i) * bins).reshape(j - i, bins)
+        yield [group_ids[i:j], roles[i:j], sizes, least, greatest, sums / sizes, *extrema[:, i:j], counts]
+        i = j
 
 
 def _beam_chunks(layout: BeamLayout, per_beam: int) -> Iterator[tuple[int, BeamLayout]]:
@@ -208,7 +214,7 @@ def project_footprints(
     (:func:`_beam_chunks`) into the result arrays, so a call on a whole
     layout peaks at about 1.3 times the memory of its result.
     """
-    _check_count("samples_per_edge", samples_per_edge)
+    samples_per_edge = _check_count("samples_per_edge", samples_per_edge)
     corners = layout.beam_radius * np.array(_CORNER_UNIT)[:, None]
     t = (np.arange(samples_per_edge) / samples_per_edge)[:, None]
     points = 6 * samples_per_edge + 1

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import __version__
-from .analysis import BeamStats, _beam_chunks, _beam_stats, project_footprints, scenario_summary
+from .analysis import _beam_chunks, _stat_columns, project_footprints, scenario_summary
 from .deployment import RNG_ALGORITHM, RNG_STREAM_RULE, drop_ues
 from .layout import BeamLayout, ScenarioConfig, _check_count, build_layout
 from .projection import HorizonError, SatelliteState
@@ -97,7 +97,8 @@ def preset(set_name: str, scenario: str) -> ScenarioConfig:
 # uses for finite floats; the pipeline's slant ranges and elevations are
 # always finite, since SatelliteState bounds the orbit radius so that no
 # square in the slant range overflows.  Role values are plain identifiers
-# that need no escaping.
+# that need no escaping.  _STATS_BEAM % grid, where grid is the _STATS_BIN
+# cells of the bin grid, is the template of one beam's object.
 _STATS_HEAD = """{
   "bins": %d,
   "global": {
@@ -108,14 +109,14 @@ _STATS_HEAD = """{
   "beams": [
 """
 _STATS_BEAM = """    {
-      "beam_id": %d,
-      "role": "%s",
-      "ue_count": %d,
-      "min_slant_km": %r,
-      "max_slant_km": %r,
-      "mean_slant_km": %r,
-      "min_elevation_deg": %r,
-      "max_elevation_deg": %r,
+      "beam_id": %%d,
+      "role": "%%s",
+      "ue_count": %%d,
+      "min_slant_km": %%r,
+      "max_slant_km": %%r,
+      "mean_slant_km": %%r,
+      "min_elevation_deg": %%r,
+      "max_elevation_deg": %%r,
       "histogram": [
 %s
       ]
@@ -128,46 +129,25 @@ _STATS_BIN = """        [
 _STATS_TAIL = "\n  ]\n}\n"
 
 
-def _stats_json(stats: list[BeamStats], bins: int, ue_count: int) -> Iterator[str]:
-    """Yield ``stats.json`` one beam at a time.
+def _stats_json(columns: Iterator, bins: int, ue_count: int) -> Iterator[str]:
+    """Yield ``stats.json`` one beam at a time from ``columns``, the bin
+    edges and then the column chunks of ``analysis._stat_columns``.
 
     The text is byte-identical to ``json.dump(doc, f, indent=2)`` followed by
     a newline, where ``doc`` holds the bin count, the global UE count and
     slant extrema, and one object per beam with its histogram as
-    ``[lo, hi, count]`` lists.  The bin grid, shared by every beam, is
-    rendered once, and so is each distinct histogram object: beams with equal
-    histograms share one (see ``analysis._beam_stats``).  The global extrema
-    are the ends of that grid.
+    ``[lo, hi, count]`` lists.  The global extrema are the ends of the grid,
+    which linspace keeps exactly.  The grid, shared by every beam, is
+    rendered once into the beam template, and each beam is one ``%`` of it.
     """
-    # beam_stats spans one bin grid over the global slant range with
-    # linspace, which keeps both ends exactly.  Its text, with a %d per
-    # count, is rendered once.
-    grid = stats[0].histogram
-    yield _STATS_HEAD % (bins, ue_count, grid[0][0], grid[-1][1])
-    template = ",\n".join(_STATS_BIN % (lo, hi) for lo, hi, _ in grid)
-    # A histogram's text is kept, by id, until its last use; ``stats``
-    # keeps every histogram alive meanwhile, so no id is reused.
-    last_use = {id(s.histogram): i for i, s in enumerate(stats)}
-    rendered: dict[int, str] = {}
+    edges = next(columns)
+    yield _STATS_HEAD % (bins, ue_count, edges[0].item(), edges[-1].item())
+    template = _STATS_BEAM % ",\n".join(map(_STATS_BIN.__mod__, zip(edges[:-1].tolist(), edges[1:].tolist())))
     separator = ""
-    for i, s in enumerate(stats):
-        key = id(s.histogram)
-        if key not in rendered:
-            _, _, counts = zip(*s.histogram)
-            rendered[key] = template % counts
-        histogram = rendered.pop(key) if last_use[key] == i else rendered[key]
-        yield separator + _STATS_BEAM % (
-            s.beam_id,
-            s.role.value,
-            s.ue_count,
-            s.min_slant_km,
-            s.max_slant_km,
-            s.mean_slant_km,
-            s.min_elevation_deg,
-            s.max_elevation_deg,
-            histogram,
-        )
-        separator = ",\n"
+    for *fields, counts in columns:
+        for *values, row in zip(*(c.tolist() for c in fields), counts.tolist()):
+            yield separator + template % (*values, *row)
+            separator = ",\n"
     yield _STATS_TAIL
 
 
@@ -231,16 +211,17 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
     fails partway leaves no manifest beside data files it does not describe.
     """
     layout = build_layout(config)
-    _check_count("bins", bins)
-    _check_count("samples_per_edge", edge_samples)
+    bins = _check_count("bins", bins)
+    edge_samples = _check_count("samples_per_edge", edge_samples)
     sat = config.satellite()
     n = config.ues_per_beam
     _check_count("beams * ues_per_beam", len(layout) * n)
     # Each array a parameter sizes is tried here: the slant ranges, which
-    # with each beam's elevation extrema are all the statistics need; the
-    # bins + 1 shared bin edges; and one beam's boundary points, the least
-    # footprint chunk.
-    sizes = (("ues_per_beam", n, len(layout) * n, "slant ranges"), ("bins", bins, bins + 1, "bin edges"),
+    # with each beam's elevation extrema are all the statistics need; for
+    # bins, the stats.json text of the grid, about 300 B per bin in edges,
+    # beam template and one beam's text; and one beam's boundary points, the
+    # least footprint chunk.
+    sizes = (("ues_per_beam", n, len(layout) * n, "slant ranges"), ("bins", bins, 38 * (bins + 1), "histogram text"),
              ("edge_samples", edge_samples, 3 * (6 * edge_samples + 1), "one beam's boundary points"))
     for name, value, size, what in sizes:
         try:
@@ -258,9 +239,8 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
     footprints = (project_footprints(chunk, sat, edge_samples).columns() for _, chunk in _beam_chunks(layout, 6 * edge_samples + 1))
     _write(out_dir / "footprints.csv", _csv(FOOTPRINTS_CSV_HEADER, _FOOTPRINTS_ROW, footprints))
     # drop_ues emits each beam's n UEs together, in layout order.
-    stats = _beam_stats(layout.beams.id.tolist(), np.arange(0, len(slants), n), slants, extrema, layout, bins)
-    del slants, extrema  # not needed to format stats.json
-    _write(out_dir / "stats.json", _stats_json(stats, bins, len(layout) * n))
+    columns = _stat_columns(layout.beams.id, layout.beams.role, np.arange(0, len(slants), n), slants, extrema, bins)
+    _write(out_dir / "stats.json", _stats_json(columns, bins, len(slants)))
 
     summary = dataclasses.asdict(scenario_summary(config))
     manifest = RunManifest(

@@ -215,7 +215,8 @@ class BeamLayout:
     """Immutable collection of beams plus the lattice constants they share.
     ``beams`` may be given as any sequence of :class:`Beam`s, as
     ``dataclasses.replace(layout, beams=...)`` does; it is kept as a
-    :class:`BeamTable` of radius ``beam_radius``."""
+    :class:`BeamTable` whose radius is ``beam_radius``, also when a table of
+    another radius is given."""
 
     beams: BeamTable
     beam_radius: float
@@ -226,6 +227,8 @@ class BeamLayout:
         if not isinstance(self.beams, BeamTable):
             rows = ((b.id, b.index.q, b.index.r, b.center_uv.u, b.center_uv.v, b.color, b.role.value) for b in self.beams)
             object.__setattr__(self, "beams", BeamTable.from_rows(rows, radius=self.beam_radius))
+        elif self.beams.radius is not self.beam_radius:
+            object.__setattr__(self, "beams", BeamTable(*self.beams._stored(), radius=self.beam_radius))
 
     def __len__(self) -> int:
         return len(self.beams)

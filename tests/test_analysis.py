@@ -158,6 +158,10 @@ class TestBeamStats:
             beam_stats(ues, frf1_layout, bins=bins)
 
 
+    def test_numpy_integer_bins_count_as_an_int(self, frf1_layout, leo_sat):
+        ues = drop_ues(frf1_layout, leo_sat, 2, seed=0)
+        assert beam_stats(ues, frf1_layout, bins=np.uint64(7)) == beam_stats(ues, frf1_layout, bins=7)
+
     def test_table_records_and_generator_agree(self, frf3_layout, dense_frf3_ues):
         expected = beam_stats(dense_frf3_ues, frf3_layout, bins=20)
         assert beam_stats(list(dense_frf3_ues), frf3_layout, bins=20) == expected
@@ -301,6 +305,10 @@ class TestFootprints:
     def test_bad_samples_rejected(self, leo_sat, frf1_layout):
         with pytest.raises(ValueError):
             project_footprints(frf1_layout, leo_sat, samples_per_edge=0)
+
+    def test_numpy_integer_samples_count_as_an_int(self, leo_sat, frf1_layout):
+        # 6 * samples + 1 points per beam: as an int8 that would overflow.
+        assert project_footprints(frf1_layout, leo_sat, np.int8(100)) == project_footprints(frf1_layout, leo_sat, 100)
 
     @pytest.mark.parametrize("samples", [2.5, 2.0, True, math.nan])
     def test_non_integer_samples_rejected(self, leo_sat, frf1_layout, samples):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -29,6 +30,7 @@ from uvbeams import (
     run,
     scenario_summary,
 )
+from uvbeams.analysis import _grouped, _stat_columns
 from uvbeams.cli import (
     BEAMS_CSV_HEADER,
     FOOTPRINTS_CSV_HEADER,
@@ -191,7 +193,8 @@ class TestRun:
 
     def test_numpy_integer_config_matches_int_config(self, tmp_path):
         # NumPy integers are integral: the config stores them as ints, so the
-        # JSON manifest can hold them and every file matches the int run.
+        # JSON manifest can hold them and every file matches the int run;
+        # bins and edge_samples given as NumPy integers count as ints too.
         def config(frf, rings, ues_per_beam, seed):
             return ScenarioConfig(
                 beamwidth_3db_deg=4.4127,
@@ -205,8 +208,8 @@ class TestRun:
         cfg = config(np.int64(3), np.int32(1), np.int16(3), np.uint64(2**63 + 1))
         assert cfg == config(3, 1, 3, 2**63 + 1)
         assert {type(v) for v in (cfg.frf, cfg.rings, cfg.ues_per_beam, cfg.seed)} == {int}
-        run(cfg, tmp_path / "a")
-        run(config(3, 1, 3, 2**63 + 1), tmp_path / "b")
+        run(cfg, tmp_path / "a", bins=np.uint64(7), edge_samples=np.int8(2))
+        run(config(3, 1, 3, 2**63 + 1), tmp_path / "b", bins=7, edge_samples=2)
         for name in OUTPUT_FILES:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -307,21 +310,37 @@ class TestCsvWriter:
 
 
 class TestStatsJson:
-    def test_only_shared_histogram_text_is_kept(self, leo_sat, frf3_layout):
-        # With a hundred UEs per beam nearly every beam has a histogram of
-        # its own, and the text of such a histogram must not outlive its
-        # write; the text of a shared one is kept until its last use.
-        ues = uvbeams.drop_ues(frf3_layout, leo_sat, 100, seed=1)
-        stats = uvbeams.beam_stats(ues, frf3_layout, bins=50)
-        shared = sum(uses > 1 for uses in Counter(id(s.histogram) for s in stats).values())
-        assert shared < 10
+    @staticmethod
+    def writer_peak(layout, sat):
+        """The longest part and the ``tracemalloc`` peak of the stats writer
+        on a 100-UE-per-beam drop, the statistics kernel included."""
+        ues = uvbeams.drop_ues(layout, sat, 100, seed=1)
+        columns = _stat_columns(*_grouped(ues, layout), 50)
+        gc.collect()
         tracemalloc.start()
         try:
-            longest = max(len(part) for part in _stats_json(stats, 50, len(ues)))
-            peak = tracemalloc.get_traced_memory()[1]
+            longest = max(len(part) for part in _stats_json(columns, 50, len(ues)))
+            return longest, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (shared + 12) * longest
+
+    def test_writer_keeps_the_template_a_few_beams_and_one_chunk(self, leo_sat, frf1_layout, frf3_layout):
+        # The writer holds the beam template, a few beam texts, and one
+        # chunk's columns and transients, a few arrays of _CHUNK numbers; it
+        # keeps nothing per beam written, so 127 beams peak as 61 do.
+        longest, peak = self.writer_peak(frf3_layout, leo_sat)
+        assert peak < 4 * longest + 48 * _CHUNK
+        assert abs(peak - self.writer_peak(frf1_layout, leo_sat)[1]) < longest
+
+    def test_run_builds_no_beam_stats(self, tmp_path, monkeypatch):
+        # BeamStats records are what beam_stats returns; run() streams the
+        # statistics from columns and makes none.
+        def no_beam_stats(*args, **kwargs):
+            raise AssertionError("run() made a BeamStats")
+
+        monkeypatch.setattr("uvbeams.analysis.BeamStats", no_beam_stats)
+        run(GOLDEN_CONFIGS["wide"], tmp_path)
+        assert json.loads((tmp_path / "stats.json").read_text())["global"]["ue_count"] == 1261
 
 
 class TestMain:
@@ -557,14 +576,14 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize("name,value,needed", [
-        ("bins", 10**12, 8 * (10**12 + 1)),
-        ("bins", 2**63 - 1, 8 * 2**63),
+        ("bins", 10**12, 304 * (10**12 + 1)),
+        ("bins", 2**63 - 1, 304 * 2**63),
         ("edge_samples", 10**12, 24 * (6 * 10**12 + 1)),
         ("edge_samples", 2**63 - 1, 24 * (6 * (2**63 - 1) + 1)),
     ])
     def test_grid_too_large_to_allocate_raises_before_out_dir(self, tmp_path, name, value, needed):
-        # The bin edges or one beam's boundary points: past any address
-        # space, or too big for NumPy to size.
+        # The bin grid's working set, 304 B per edge, or one beam's boundary
+        # points: past any address space, or too big for NumPy to size.
         out = tmp_path / "o"
         config = dataclasses.replace(preset("set1", "leo_s"), rings=1, ues_per_beam=2)
         with pytest.raises(ValueError, match=f"^{name}={value} needs {needed} bytes of"):

@@ -29,6 +29,7 @@ from uvbeams import (
     hexagon_contains,
     hexagon_vertices,
     project_footprints,
+    uv_to_earth,
 )
 from uvbeams import layout as layout_module
 from uvbeams.layout import SQRT3, BeamRole
@@ -413,6 +414,18 @@ class TestBeamTable:
         assert type(again.beams) is BeamTable and again.beams is not frf3_layout.beams
         assert again == frf3_layout and frf1_layout != frf3_layout
         assert dataclasses.replace(frf3_layout, beams=frf3_layout.beams[:-1]) != frf3_layout
+
+    def test_replaced_radius_is_the_radius_of_every_beam(self, frf1_layout, leo_sat):
+        # The layout states its radius once: each Beam's corners and the
+        # footprints follow a replaced beam_radius alike.
+        layout = dataclasses.replace(frf1_layout, beam_radius=frf1_layout.beam_radius / 2)
+        assert layout.beams.radius is layout.beam_radius
+        footprints = project_footprints(layout, leo_sat, 1)
+        for beam, footprint in zip(layout, footprints):
+            assert list(footprint.boundary[:6]) == [uv_to_earth(p, leo_sat) for p in beam.vertices_uv]
+        # A slice keeps the layout's radius, so a sub-layout takes it as is.
+        part = layout.beams[2:5]
+        assert dataclasses.replace(layout, beams=part).beams is part
 
 
 def _shared(table) -> dict:

@@ -57,6 +57,7 @@ from uvbeams import (
     __version__,
     uv_to_earth,
 )
+from uvbeams.analysis import _grouped, _stat_columns
 from uvbeams.cli import (
     PRESET_BEAMWIDTH_DEG,
     _BEAMS_ROW,
@@ -388,7 +389,7 @@ def test_beam_stats_and_stats_json_match_reference(golden_drops, name, variant, 
     expected = json.dumps(ref_stats_doc(stats, bins, len(ues)), indent=2) + "\n"
     # Lines, not one string: pytest's diff of two failing multi-megabyte
     # strings takes minutes.
-    text = "".join(_stats_json(stats, bins, len(ues)))
+    text = "".join(_stats_json(_stat_columns(*_grouped(ues, layout), bins), bins, len(ues)))
     assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 
@@ -455,17 +456,30 @@ def test_histograms_on_grids_with_repeated_edges_match_reference(ulps, bins):
     assert beam_stats(table, layout, bins) == ref_beam_stats(table, layout, bins)
 
 
-@pytest.mark.parametrize("ues_per_beam", [_CHUNK + 1, 2 * _CHUNK + 3])
-def test_run_stats_json_matches_reference_beyond_one_chunk_per_beam(tmp_path, ues_per_beam):
-    # Each beam is a drop chunk of its own, and its UEs span more than one _CHUNK.
+def assert_run_stats_json_matches_reference(tmp_path, ues_per_beam, bins):
     config = dataclasses.replace(CONFIGS["odd"], rings=1, ues_per_beam=ues_per_beam)
     layout = build_layout(config)
     assert len(layout) == 7
-    run(config, tmp_path, bins=50, edge_samples=1)
+    run(config, tmp_path, bins=bins, edge_samples=1)
     ues = drop_ues(layout, config.satellite(), ues_per_beam, config.seed)
-    expected = json.dumps(ref_stats_doc(ref_beam_stats(ues, layout, 50), 50, len(ues)), indent=2) + "\n"
+    expected = json.dumps(ref_stats_doc(ref_beam_stats(ues, layout, bins), bins, len(ues)), indent=2) + "\n"
     got = (tmp_path / "stats.json").read_text(encoding="utf-8")
     assert got.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("ues_per_beam", [_CHUNK + 1, 2 * _CHUNK + 3])
+def test_run_stats_json_matches_reference_beyond_one_chunk_per_beam(tmp_path, ues_per_beam):
+    # Each beam is a drop chunk of its own, and its UEs span more than one _CHUNK.
+    assert_run_stats_json_matches_reference(tmp_path, ues_per_beam, 50)
+
+
+@pytest.mark.parametrize("bins", [50, 333, 2049])
+@pytest.mark.parametrize("ues_per_beam", [1, 300])
+def test_run_stats_json_matches_reference_across_statistics_chunks(tmp_path, ues_per_beam, bins):
+    # The statistics are counted in chunks of at most _CHUNK UEs and _CHUNK
+    # histogram cells: of the 7 beams, 6 + 1 for 300 UEs per beam or 333
+    # bins, one beam each for 2049 bins, and all 7 for 1 UE and 50 bins.
+    assert_run_stats_json_matches_reference(tmp_path, ues_per_beam, bins)
 
 
 def horizon_points(limit):
@@ -565,7 +579,8 @@ def test_layout_matches_reference_on_presets(key, frf):
 
 def ref_run(config, out_dir, bins, edge_samples):
     """``run()`` on whole tables: one drop of every beam, the public
-    ``beam_stats``, the footprints of every beam, then the same writers."""
+    ``beam_stats``, the footprints of every beam, then the same CSV writers
+    and ``json.dumps`` of the statistics document."""
     layout = build_layout(config)
     sat = config.satellite()
     ues = drop_ues(layout, sat, config.ues_per_beam, config.seed)
@@ -575,7 +590,7 @@ def ref_run(config, out_dir, bins, edge_samples):
     _write(out_dir / "beams.csv", _csv(BEAMS_CSV_HEADER, _BEAMS_ROW, [list(map(np.array, zip(*beams)))]))
     _write(out_dir / "ues.csv", _csv(UES_CSV_HEADER, _UES_ROW, [ues.columns()]))
     _write(out_dir / "footprints.csv", _csv(FOOTPRINTS_CSV_HEADER, _FOOTPRINTS_ROW, [footprints.columns()]))
-    _write(out_dir / "stats.json", _stats_json(stats, bins, len(ues)))
+    _write(out_dir / "stats.json", [json.dumps(ref_stats_doc(stats, bins, len(ues)), indent=2), "\n"])
     manifest = {
         "version": __version__,
         "config": {**dataclasses.asdict(config), "rings": config.ring_count},
