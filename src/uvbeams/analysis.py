@@ -174,15 +174,14 @@ def _stat_columns(
     while i < len(starts):
         j = max(i + 1, min(i + _CHUNK // bins, np.searchsorted(bounds, bounds[i] + _CHUNK, "right") - 1))
         chunk = slants[bounds[i] : bounds[j]]
-        sizes = np.diff(bounds[i : j + 1])
-        offsets = starts[i:j] - bounds[i]
+        offsets = bounds[i : j + 1] - bounds[i]
+        sizes = np.diff(offsets)
         cells = np.repeat(np.arange(0, (j - i) * bins, bins), sizes) + np.searchsorted(inner, chunk, "right")
-        # A 2-D sum along rows has the bits of each row's own sum.
-        if (sizes == sizes[0]).all():
-            sums = chunk.reshape(-1, sizes[0]).sum(axis=1)
-        else:
-            sums = np.array([group.sum() for group in np.split(chunk, offsets[1:])])
-        least, greatest = (f.reduceat(chunk, offsets) for f in (np.minimum, np.maximum))
+        # Each run of groups of one size is one 2-D sum along rows, which has
+        # the bits of each row's own sum.
+        runs = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), j - i]
+        sums = np.concatenate([chunk[offsets[a] : offsets[b]].reshape(b - a, -1).sum(axis=1) for a, b in zip(runs, runs[1:])])
+        least, greatest = (f.reduceat(chunk, offsets[:-1]) for f in (np.minimum, np.maximum))
         counts = np.bincount(cells, minlength=(j - i) * bins).reshape(j - i, bins)
         yield [group_ids[i:j], roles[i:j], sizes, least, greatest, sums / sizes, *extrema[:, i:j], counts]
         i = j

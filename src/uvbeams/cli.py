@@ -154,12 +154,18 @@ def _stats_json(columns: Iterator, bins: int, ue_count: int) -> Iterator[str]:
 def _csv(header: str, template: str, tables: Iterable[list[np.ndarray]]) -> Iterator[str]:
     """``header``, then one ``template % row`` line per row of each table in
     ``tables``, a list of columns, joined :data:`_ROWS_PER_WRITE` lines to a
-    string.  It consumes its tables: ``c + 0.0``, which turns -0.0 into 0.0,
-    replaces each float column ``c`` inside its list, so a chunk's float
-    columns exist once, and a table is released before the next is made."""
+    string.  A table is released before the next is made.
+
+    The columns are formatted as given, so a -0.0 would be written ``-0``.
+    No float column that :func:`run` writes holds one.  Beam centres are
+    ``u_c > 0`` plus lattice offsets.  Under round-to-nearest a sum is -0
+    only when both terms are -0; ``cos`` never returns 0 for a float;
+    ``sin`` and ``atan2`` return -0 only for a -0 input, and ``v`` is never
+    -0.  A product cannot underflow to zero, since
+    :class:`~uvbeams.projection.SatelliteState` keeps the Earth radius and
+    the altitude at or above the square root of the least normal float."""
     yield header + "\n"
     for columns in tables:
-        columns[:] = [c + 0.0 if c.dtype.kind == "f" else c for c in columns]
         for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
             rows = zip(*(c[start : start + _ROWS_PER_WRITE].tolist() for c in columns))
             yield "".join(map(template.__mod__, rows))
@@ -179,10 +185,8 @@ def _ue_tables(
         slants[start * ues_per_beam : start * ues_per_beam + len(ues)] = ues.slant_range_km
         beams = np.arange(0, len(ues), ues_per_beam)
         extrema[:, start : start + len(chunk)] = [f.reduceat(ues.elevation_deg, beams) for f in (np.minimum, np.maximum)]
-        columns = ues.columns()
-        del ues  # the list alone holds the columns that _csv replaces
-        yield columns
-        del columns  # released before the next chunk is dropped
+        yield ues.columns()
+        del ues  # released, as _csv releases its list, before the next drop
 
 
 def _write(path: Path, chunks: Iterable[str]) -> None:

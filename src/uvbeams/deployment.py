@@ -204,8 +204,9 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
 
     UE ids are ``beam_id * ues_per_beam + k`` so they are stable under any
     iteration order; ids past ``2**63`` are rejected by the count rule.
-    ``seed`` must be an unsigned 64-bit integer, else :class:`ValueError`
-    before any draw.  A :class:`~uvbeams.projection.HorizonError` from the
+    ``seed`` must be an unsigned 64-bit integer and every beam id lie in
+    ``[0, 2**32)``, as for :func:`beam_rng`, else :class:`ValueError` before
+    any draw.  A :class:`~uvbeams.projection.HorizonError` from the
     projection would indicate a layout built past the horizon guard and is
     propagated as-is.
 
@@ -222,7 +223,9 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
     _check_count("ues_per_beam", ues_per_beam)
     _check_count("seed", seed)
     beam_ids = layout.beams.id.tolist()
-    _check_count("beams * ues_per_beam", (max(beam_ids, default=0) + 1) * ues_per_beam)
+    _check_count("beam_id", min(beam_ids, default=0))
+    greatest = _check_count("beam_id", max(beam_ids, default=0))
+    _check_count("beams * ues_per_beam", (greatest + 1) * ues_per_beam)
     n = ues_per_beam
     count = len(beam_ids) * n
     # One bit generator serves every beam: the for target sets it to the

@@ -103,15 +103,16 @@ class SatelliteState:
     altitude_km: float
 
     def __post_init__(self) -> None:
-        # NaN, inf and an int too large for a float all fail these comparisons.
-        if not 0.0 < self.earth_radius_km <= sys.float_info.max:
-            raise ValueError(
-                f"earth radius must be positive and finite, got {_shown(self.earth_radius_km)}"
-            )
-        if not 0.0 < self.altitude_km <= sys.float_info.max:
-            raise ValueError(f"altitude must be positive and finite, got {_shown(self.altitude_km)}")
-        # The slant range squares the orbit radius's parts; past the square
-        # root of the largest float a square overflows to inf.
+        # The slant range squares the Earth radius, the altitude and their
+        # sum: below the square root of the least normal float a square
+        # underflows, and past the square root of the largest it overflows.
+        least = math.sqrt(sys.float_info.min)
+        for name, value in (("earth radius", self.earth_radius_km), ("altitude", self.altitude_km)):
+            # NaN, inf and an int too large for a float all fail these comparisons.
+            if not 0.0 < value <= sys.float_info.max:
+                raise ValueError(f"{name} must be positive and finite, got {_shown(value)}")
+            if not value >= least:
+                raise ValueError(f"{name} must be at least {least:.5g} km, got {value}")
         bound = math.sqrt(sys.float_info.max)
         if not self.orbit_radius_km <= bound:
             raise ValueError(f"orbit radius must be at most {bound:.5g} km, got {_shown(self.orbit_radius_km)}")

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,8 +27,10 @@ from uvbeams import (
     HorizonError,
     ScenarioConfig,
     build_layout,
+    drop_ues,
     horizon_limit,
     preset,
+    project_footprints,
     run,
     scenario_summary,
 )
@@ -299,14 +303,62 @@ class TestRun:
                 run(dataclasses.replace(preset(*key), frf=frf), tmp_path)
 
 
+# Elevation 90 puts the centre beam a hair off the UV origin, where
+# coordinates and angles come closest to zero.
+SIGNED_ZERO_ELEVATIONS = (90.0, 89.999, 70.0, 45.0, 30.0, 12.5)
+# Earth radius and altitude at the least SatelliteState accepts.
+LEAST_KM = math.sqrt(sys.float_info.min)
+
+
+def signed_zero_columns(config, seeds, edge_samples):
+    """Names of the float columns of ``beams.csv``, ``ues.csv`` and
+    ``footprints.csv``, as ``run()`` builds them for ``config`` with each
+    of ``seeds`` and ``edge_samples``, that hold a -0.0."""
+    layout = build_layout(config)
+    sat = config.satellite()
+    tables = [("beams.csv", layout.beams.columns())]
+    tables += [("ues.csv", drop_ues(layout, sat, config.ues_per_beam, seed).columns()) for seed in seeds]
+    tables += [("footprints.csv", project_footprints(layout, sat, n).columns()) for n in edge_samples]
+    return [
+        (name, k) for name, columns in tables for k, c in enumerate(columns)
+        if c.dtype.kind == "f" and (np.signbit(c) & (c == 0.0)).any()
+    ]
+
+
 class TestCsvWriter:
-    def test_rows_across_chunks_and_negative_zero(self):
+    def test_rows_across_chunks_leave_the_columns_as_given(self):
+        # Two tables, split inside a 64-row write, over more than two _CHUNKs.
         n = 2 * _CHUNK + 3
         ints = np.arange(n) - 1
-        floats = np.full(n, -0.0)
+        floats = np.arange(n) * 0.5
         floats[1] = -1.5
-        text = "".join(_csv("h", "%d,%.9g\n", [[ints, floats]]))
-        assert text == "h\n-1,0\n0,-1.5\n" + "".join("%d,0\n" % (i - 1) for i in range(2, n))
+        tables = [[ints[:100], floats[:100]], [ints[100:], floats[100:]]]
+        given = [list(map(id, table)) for table in tables]
+        text = "".join(_csv("h", "%d,%.9g\n", tables))
+        assert text == "h\n-1,0\n0,-1.5\n" + "".join("%d,%.9g\n" % (i - 1, 0.5 * i) for i in range(2, n))
+        assert [list(map(id, table)) for table in tables] == given
+        assert floats[1] == -1.5 and (floats[2:] == np.arange(2, n) * 0.5).all()
+
+    @pytest.mark.parametrize("key", sorted(PRESET_BEAMWIDTH_DEG), ids=":".join)
+    def test_run_columns_hold_no_negative_zero(self, key):
+        # The writer prints a -0.0 as -0; no float column run() writes may
+        # hold one, at nadir, on the UV axes or anywhere else.
+        found = {}
+        for frf, elevation, rings in itertools.product((1, 3), SIGNED_ZERO_ELEVATIONS, range(3)):
+            config = dataclasses.replace(
+                preset(*key), frf=frf, center_elevation_deg=elevation, rings=rings, ues_per_beam=50
+            )
+            try:
+                found[frf, elevation, rings] = signed_zero_columns(config, (0, 7), (1, 2, 3, 8))
+            except HorizonError:
+                continue
+        assert found and not any(found.values()), {k: v for k, v in found.items() if v}
+
+    def test_columns_at_the_least_float_range_hold_no_negative_zero(self):
+        config = ScenarioConfig(
+            beamwidth_3db_deg=4.4127, earth_radius_km=LEAST_KM, altitude_km=LEAST_KM, rings=2, ues_per_beam=50
+        )
+        assert signed_zero_columns(config, (0, 7), (1, 2, 3, 8)) == []
 
 
 class TestStatsJson:
@@ -446,6 +498,11 @@ class TestMain:
                 "altitude must be at least 2**-20 times the earth radius, got altitude 1200.0 km and earth radius 1.3e+154 km",
             ),
             (
+                ["--beamwidth-deg", "4.4127", "--earth-radius-km", "1e-300", "--altitude-km", "1e-300", "--rings", "1",
+                 "--ues-per-beam", "3"],
+                "earth radius must be at least 1.4917e-154 km, got 1e-300",
+            ),
+            (
                 ["--preset", "set1:leo_s", "--beamwidth-deg", "5e-324"],
                 "3 dB beamwidth 5e-324 degrees is too small: its UV radius 0 is below 2**-48",
             ),
@@ -459,7 +516,7 @@ class TestMain:
             ),
         ],
         ids=[
-            "preset_without_colon", "earth_radius_orbit", "altitude_orbit", "altitude_ratio",
+            "preset_without_colon", "earth_radius_orbit", "altitude_orbit", "altitude_ratio", "earth_radius_float_range",
             "beamwidth_radius_0", "beamwidth_radius_below_2**-48", "rings_past_beam_id_range",
         ],
     )
@@ -608,6 +665,8 @@ class TestModuleEntryPoint:
             "--preset", "set1:leo_s", "--rings", "1", "--ues-per-beam", "2", "--out", str(out)
         )
         assert proc.returncode == 0, proc.stderr
+        # The supported entry point prints no warning.
+        assert proc.stderr == ""
         assert "7 beams, 14 UEs" in proc.stdout
         assert sorted(p.name for p in out.iterdir()) == sorted(OUTPUT_FILES)
 

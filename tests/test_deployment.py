@@ -285,6 +285,19 @@ class TestDropUes:
         with pytest.raises(ValueError, match=r"beams \* ues_per_beam must be at least 1 and below 2\*\*63"):
             drop_ues(layout, leo_sat, 2**63 // 7 + 1, seed=0)
 
+    @pytest.mark.parametrize("ids,bad", [([2**32], 2**32), ([2**40], 2**40), ([3, -1], -1), ([-1], -1)])
+    def test_beam_ids_outside_32_bits_rejected_before_any_draw(self, leo_sat, frf1_layout, monkeypatch, ids, bad):
+        # beam_rng's rule: these raised OverflowError from the uint32 id
+        # column, and a lone -1 was reported as a UE count of 0.
+        def no_draw(*args):
+            raise AssertionError("drew a UE")
+
+        monkeypatch.setattr(uvbeams.deployment, "_stream_states", no_draw)
+        beams = [dataclasses.replace(beam, id=beam_id) for beam, beam_id in zip(frf1_layout, ids)]
+        layout = dataclasses.replace(frf1_layout, beams=beams)
+        with pytest.raises(ValueError, match=rf"^beam_id must be at least 0 and below 2\*\*32, got {bad}$"):
+            drop_ues(layout, leo_sat, 3, seed=0)
+
 
 class TestRawDecode:
     """drop_ues decodes raw PCG64 outputs as ``integers(6)`` and ``random()``

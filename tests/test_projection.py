@@ -34,6 +34,8 @@ ALT = 1200.0
 R_S = R_E + ALT
 # The largest orbit radius whose square is a finite float.
 MAX_ORBIT_KM = math.sqrt(sys.float_info.max)
+# The least Earth radius and altitude whose squares are normal floats.
+LEAST_KM = math.sqrt(sys.float_info.min)
 
 
 def ray_sphere_ground(u: float, v: float, sat: SatelliteState) -> tuple[float, float, float]:
@@ -74,11 +76,29 @@ class TestSatelliteState:
             # Altitudes below 2**-20 times the Earth radius.
             pytest.param(6371.0, math.nextafter(6371.0 * 2**-20, 0.0), id="altitude-one-ulp-below-ratio"),
             pytest.param(1.3e154, 1200.0, id="altitude-ratio-1.3e154-1200"),
+            # Below the square root of the least normal float the slant
+            # range's squares underflow, and the ground points leave the sphere.
+            pytest.param(1e-300, 1e-300, id="float-range-1e-300-1e-300"),
+            pytest.param(1e-160, 1e-160, id="float-range-1e-160-1e-160"),
         ],
     )
     def test_validation(self, re, alt):
         with pytest.raises(ValueError):
             SatelliteState(re, alt)
+
+    @pytest.mark.parametrize("field", ["earth radius", "altitude"])
+    def test_below_the_least_radius_or_altitude_is_refused(self, field):
+        below = math.nextafter(LEAST_KM, 0.0)
+        args = (below, LEAST_KM) if field == "earth radius" else (LEAST_KM, below)
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1.4917e-154 km, got {below}$"):
+            SatelliteState(*args)
+
+    def test_least_radius_and_altitude_project_onto_the_sphere(self):
+        sat = SatelliteState(LEAST_KM, LEAST_KM)
+        for u, v in uv_disk_points(2000, horizon_limit(sat), seed=31):
+            p = uv_to_earth(UvPoint(u, v), sat)
+            # hypot scales its arguments, so its own squares do not underflow.
+            assert abs(math.hypot(p.x_km, p.y_km, p.z_km) - LEAST_KM) <= 1e-9 * LEAST_KM
 
     @pytest.mark.parametrize("field", ["earth radius", "altitude"])
     def test_int_past_the_digit_limit_is_named_by_its_size(self, field):

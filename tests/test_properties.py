@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import math
 import tempfile
 from pathlib import Path
@@ -20,18 +19,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from test_golden import CONFIGS  # noqa: E402
-from test_reference_kernels import (  # noqa: E402
-    assert_layout_matches_reference,
-    ref_beam_stats,
-    ref_build_layout,
-    ref_drop_ues,
-    ref_footprint,
-    ref_stats_doc,
-)
+from test_reference_kernels import assert_layout_matches_reference, independent_run  # noqa: E402
 from uvbeams import (  # noqa: E402
-    RNG_ALGORITHM,
-    RNG_STREAM_RULE,
-    BeamRole,
     GroundPoint,
     HorizonError,
     SatelliteState,
@@ -45,7 +34,6 @@ from uvbeams import (  # noqa: E402
     earth_to_uv,
     horizon_limit,
     sample_point_in_hexagon,
-    __version__,
     uv_to_earth,
 )
 from uvbeams.cli import OUTPUT_FILES, PRESET_BEAMWIDTH_DEG, preset, run  # noqa: E402
@@ -235,59 +223,6 @@ def test_layout_matches_the_scalar_loop(beamwidth, altitude, frf, rings, elevati
         ScenarioConfig(beamwidth_3db_deg=beamwidth, altitude_km=altitude, frf=frf, rings=rings,
                        center_elevation_deg=elevation)
     )
-
-
-def independent_run(config: ScenarioConfig, bins: int, edge_samples: int) -> dict[str, str]:
-    """The text of each of ``run()``'s five files, made from the scalar
-    layout loop, the per-UE and per-point reference kernels, ``json.dumps``
-    and one ``%`` per CSV row.  Of the package's layout code only the
-    lattice constants and the ``Beam`` records are used, and no drop,
-    projection, statistics or writer code, so the two sides fail apart."""
-    layout = ref_build_layout(config)
-    sat = config.satellite()
-    ues = ref_drop_ues(layout, sat, config.ues_per_beam, config.seed)
-
-    def csv(header, template, rows):
-        # CSV floats are never -0.0: ``x or 0.0`` makes every zero 0.0, and
-        # %d writes an integer field's 0.0 as 0.
-        return header + "\n" + "".join(template % tuple(x or 0.0 for x in row) for row in rows)
-
-    beams = [(b.id, b.index.q, b.index.r, b.center_uv.u, b.center_uv.v, b.color, b.role.value) for b in layout]
-    ue_rows = [
-        (ue.ue_id, ue.beam_id, ue.uv.u, ue.uv.v, ue.ground.x_km, ue.ground.y_km, ue.ground.z_km,
-         ue.slant_range_km, ue.elevation_deg, ue.zod_deg, ue.aod_deg)
-        for ue in ues
-    ]
-    footprints = [
-        (b.id, k, p.x_km, p.y_km, p.z_km)
-        for b in layout
-        for k, p in enumerate(ref_footprint(b, sat, edge_samples).boundary)
-    ]
-    manifest = {
-        "version": __version__,
-        "config": {**dataclasses.asdict(config), "rings": config.ring_count},
-        "derived": {
-            "beam_radius": layout.beam_radius,
-            "adjacent_beam_spacing": layout.spacing,
-            "center_offset_u": layout.center_offset_u,
-            "horizon_limit": horizon_limit(sat),
-            "beam_count": len(layout),
-            "statistics_beam_count": sum(b.role is BeamRole.STATISTICS for b in layout),
-        },
-        "rng": {"generator": RNG_ALGORITHM, "stream_rule": RNG_STREAM_RULE, "seed": config.seed},
-        "outputs": list(OUTPUT_FILES),
-    }
-    return {
-        "beams.csv": csv("id,q,r,u,v,color,role", "%d,%d,%d,%.9g,%.9g,%d,%s\n", beams),
-        "ues.csv": csv(
-            "ue_id,beam_id,u,v,x_km,y_km,z_km,slant_km,elev_deg,zod_deg,aod_deg",
-            "%d,%d,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n",
-            ue_rows,
-        ),
-        "footprints.csv": csv("beam_id,vertex_idx,x_km,y_km,z_km", "%d,%d,%.9g,%.9g,%.9g\n", footprints),
-        "stats.json": json.dumps(ref_stats_doc(ref_beam_stats(ues, layout, bins), bins, len(ues)), indent=2) + "\n",
-        "manifest.json": json.dumps(manifest, indent=2) + "\n",
-    }
 
 
 @settings(deterministic, max_examples=60)

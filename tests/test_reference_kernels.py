@@ -3,8 +3,9 @@
 The references below are the original, unoptimised implementations of the
 beam layout, the hexagon sampler, the line-of-sight projection, the per-UE
 drop, the per-point footprint and the per-beam statistics, the ``json.dump``
-document the ``stats.json`` writer replaces, and the whole-table pipeline
-that ``run()`` streams in beam chunks.  The package versions must
+document the ``stats.json`` writer replaces, and a pipeline built from
+these references alone that makes the five files ``run()`` streams in
+beam chunks.  The package versions must
 reproduce them exactly (``==``, not a tolerance, and the same sign bits):
 same draws from the generator in the same order, same floating-point
 operations, same bytes.  The columnar projection kernel must also equal the
@@ -38,6 +39,7 @@ from uvbeams import (
     HorizonError,
     LosGeometry,
     SatelliteState,
+    ScenarioConfig,
     UeRecord,
     UeTable,
     UvPoint,
@@ -58,21 +60,7 @@ from uvbeams import (
     uv_to_earth,
 )
 from uvbeams.analysis import _grouped, _stat_columns
-from uvbeams.cli import (
-    PRESET_BEAMWIDTH_DEG,
-    _BEAMS_ROW,
-    _FOOTPRINTS_ROW,
-    _UES_ROW,
-    BEAMS_CSV_HEADER,
-    FOOTPRINTS_CSV_HEADER,
-    OUTPUT_FILES,
-    UES_CSV_HEADER,
-    _csv,
-    _stats_json,
-    _write,
-    preset,
-    run,
-)
+from uvbeams.cli import PRESET_BEAMWIDTH_DEG, OUTPUT_FILES, _stats_json, preset, run
 from uvbeams.projection import _CHUNK, _COLUMNS, _each, _line_of_sight
 
 
@@ -416,6 +404,8 @@ GROUP_SHAPES = {
     "one_beam_over_chunk": [2 * _CHUNK + 5],
     "straddling_block_edges": [_CHUNK - 1, 2, 3000, 1, _CHUNK, _CHUNK + 1],
     "one_ue_groups_over_chunk": [1] * (_CHUNK + 59),
+    # Runs of equal sizes, each summed as one 2-D block by the statistics.
+    "runs_of_equal_sizes": [7] * 5 + [3] * 9 + [7] * 2 + [1] + [300] * 3,
 }
 
 
@@ -577,20 +567,32 @@ def test_layout_matches_reference_on_presets(key, frf):
         assert_layout_matches_reference(dataclasses.replace(preset(*key), frf=frf, center_elevation_deg=elevation))
 
 
-def ref_run(config, out_dir, bins, edge_samples):
-    """``run()`` on whole tables: one drop of every beam, the public
-    ``beam_stats``, the footprints of every beam, then the same CSV writers
-    and ``json.dumps`` of the statistics document."""
-    layout = build_layout(config)
+def independent_run(config: ScenarioConfig, bins: int, edge_samples: int) -> dict[str, str]:
+    """The text of each of ``run()``'s five files, made from the scalar
+    layout loop, the per-UE and per-point reference kernels, ``json.dumps``
+    and one ``%`` per CSV row.  Of the package's layout code only the
+    lattice constants and the ``Beam`` records are used, and no drop,
+    projection, statistics or writer code, so the two sides fail apart."""
+    layout = ref_build_layout(config)
     sat = config.satellite()
-    ues = drop_ues(layout, sat, config.ues_per_beam, config.seed)
-    stats = beam_stats(ues, layout, bins)
-    footprints = project_footprints(layout, sat, edge_samples)
-    beams = ((b.id, b.index.q, b.index.r, b.center_uv.u, b.center_uv.v, b.color, b.role.value) for b in layout)
-    _write(out_dir / "beams.csv", _csv(BEAMS_CSV_HEADER, _BEAMS_ROW, [list(map(np.array, zip(*beams)))]))
-    _write(out_dir / "ues.csv", _csv(UES_CSV_HEADER, _UES_ROW, [ues.columns()]))
-    _write(out_dir / "footprints.csv", _csv(FOOTPRINTS_CSV_HEADER, _FOOTPRINTS_ROW, [footprints.columns()]))
-    _write(out_dir / "stats.json", [json.dumps(ref_stats_doc(stats, bins, len(ues)), indent=2), "\n"])
+    ues = ref_drop_ues(layout, sat, config.ues_per_beam, config.seed)
+
+    def csv(header, template, rows):
+        # CSV floats are never -0.0: ``x or 0.0`` makes every zero 0.0, and
+        # %d writes an integer field's 0.0 as 0.
+        return header + "\n" + "".join(template % tuple(x or 0.0 for x in row) for row in rows)
+
+    beams = [(b.id, b.index.q, b.index.r, b.center_uv.u, b.center_uv.v, b.color, b.role.value) for b in layout]
+    ue_rows = [
+        (ue.ue_id, ue.beam_id, ue.uv.u, ue.uv.v, ue.ground.x_km, ue.ground.y_km, ue.ground.z_km,
+         ue.slant_range_km, ue.elevation_deg, ue.zod_deg, ue.aod_deg)
+        for ue in ues
+    ]
+    footprints = [
+        (b.id, k, p.x_km, p.y_km, p.z_km)
+        for b in layout
+        for k, p in enumerate(ref_footprint(b, sat, edge_samples).boundary)
+    ]
     manifest = {
         "version": __version__,
         "config": {**dataclasses.asdict(config), "rings": config.ring_count},
@@ -605,7 +607,17 @@ def ref_run(config, out_dir, bins, edge_samples):
         "rng": {"generator": RNG_ALGORITHM, "stream_rule": RNG_STREAM_RULE, "seed": config.seed},
         "outputs": list(OUTPUT_FILES),
     }
-    _write(out_dir / "manifest.json", [json.dumps(manifest, indent=2), "\n"])
+    return {
+        "beams.csv": csv("id,q,r,u,v,color,role", "%d,%d,%d,%.9g,%.9g,%d,%s\n", beams),
+        "ues.csv": csv(
+            "ue_id,beam_id,u,v,x_km,y_km,z_km,slant_km,elev_deg,zod_deg,aod_deg",
+            "%d,%d,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n",
+            ue_rows,
+        ),
+        "footprints.csv": csv("beam_id,vertex_idx,x_km,y_km,z_km", "%d,%d,%.9g,%.9g,%.9g\n", footprints),
+        "stats.json": json.dumps(ref_stats_doc(ref_beam_stats(ues, layout, bins), bins, len(ues)), indent=2) + "\n",
+        "manifest.json": json.dumps(manifest, indent=2) + "\n",
+    }
 
 
 @pytest.mark.parametrize("edge_samples", [8, 342])
@@ -617,12 +629,9 @@ def test_streamed_run_matches_whole_table_run(tmp_path, ues_per_beam, edge_sampl
     # 342 it has 2053, more than _CHUNK, and each beam is its own chunk.
     config = dataclasses.replace(CONFIGS["odd"], rings=1, ues_per_beam=ues_per_beam)
     assert len(build_layout(config)) == 7
-    run(config, tmp_path / "streamed", bins=50, edge_samples=edge_samples)
-    expected = tmp_path / "whole"
-    expected.mkdir()
-    ref_run(config, expected, bins=50, edge_samples=edge_samples)
+    run(config, tmp_path, bins=50, edge_samples=edge_samples)
+    expected = independent_run(config, bins=50, edge_samples=edge_samples)
     for name in OUTPUT_FILES:
-        got = (tmp_path / "streamed" / name).read_bytes()
-        want = (expected / name).read_bytes()
+        got = (tmp_path / name).read_bytes()
         # Lines, not one string, so a failure shows a short diff.
-        assert got.splitlines(keepends=True) == want.splitlines(keepends=True), name
+        assert got.splitlines(keepends=True) == expected[name].encode("utf-8").splitlines(keepends=True), name
