@@ -92,43 +92,6 @@ def preset(set_name: str, scenario: str) -> ScenarioConfig:
     )
 
 
-# The text json.dump(doc, f, indent=2) writes for the stats document, as
-# %-templates.  Floats go through %r, which is float.__repr__, the form json
-# uses for finite floats; the pipeline's slant ranges and elevations are
-# always finite, since SatelliteState bounds the orbit radius so that no
-# square in the slant range overflows.  Role values are plain identifiers
-# that need no escaping.  _STATS_BEAM % grid, where grid is the _STATS_BIN
-# cells of the bin grid, is the template of one beam's object.
-_STATS_HEAD = """{
-  "bins": %d,
-  "global": {
-    "ue_count": %d,
-    "min_slant_km": %r,
-    "max_slant_km": %r
-  },
-  "beams": [
-"""
-_STATS_BEAM = """    {
-      "beam_id": %%d,
-      "role": "%%s",
-      "ue_count": %%d,
-      "min_slant_km": %%r,
-      "max_slant_km": %%r,
-      "mean_slant_km": %%r,
-      "min_elevation_deg": %%r,
-      "max_elevation_deg": %%r,
-      "histogram": [
-%s
-      ]
-    }"""
-_STATS_BIN = """        [
-          %r,
-          %r,
-          %%d
-        ]"""
-_STATS_TAIL = "\n  ]\n}\n"
-
-
 def _stats_json(columns: Iterator, bins: int, ue_count: int) -> Iterator[str]:
     """Yield ``stats.json`` one beam at a time from ``columns``, the bin
     edges and then the column chunks of ``analysis._stat_columns``.
@@ -137,18 +100,31 @@ def _stats_json(columns: Iterator, bins: int, ue_count: int) -> Iterator[str]:
     a newline, where ``doc`` holds the bin count, the global UE count and
     slant extrema, and one object per beam with its histogram as
     ``[lo, hi, count]`` lists.  The global extrema are the ends of the grid,
-    which linspace keeps exactly.  The grid, shared by every beam, is
-    rendered once into the beam template, and each beam is one ``%`` of it.
+    which linspace keeps exactly.  ``json`` renders the text from
+    placeholder documents once per run: ``doc`` with two ``None`` beams,
+    split on ``null`` into the head, the separator between beams and the
+    tail; and one beam whose scalars are ``"%d"``, ``"%s"`` and ``"%r"`` and
+    whose histogram is ``[lo, hi, "%d"]`` per cell of the grid every beam
+    shares, indented to its place in the list and with the quotes around
+    ``%d`` and ``%r`` stripped.  Each beam is then one ``%`` of that
+    template.  ``%r`` is ``float.__repr__``, the form json uses for finite
+    floats, and every statistic is finite, since SatelliteState bounds the
+    orbit radius so that no square in the slant range overflows.  Role
+    values are plain identifiers that need no escaping.
     """
-    edges = next(columns)
-    yield _STATS_HEAD % (bins, ue_count, edges[0].item(), edges[-1].item())
-    template = _STATS_BEAM % ",\n".join(map(_STATS_BIN.__mod__, zip(edges[:-1].tolist(), edges[1:].tolist())))
-    separator = ""
+    edges = next(columns).tolist()
+    whole_run = {"ue_count": ue_count, "min_slant_km": edges[0], "max_slant_km": edges[-1]}
+    head, separator, tail = json.dumps({"bins": bins, "global": whole_run, "beams": [None, None]}, indent=2).split("null")
+    floats = ("min_slant_km", "max_slant_km", "mean_slant_km", "min_elevation_deg", "max_elevation_deg")
+    cells = [[lo, hi, "%d"] for lo, hi in zip(edges, edges[1:])]
+    template = json.dumps({"beam_id": "%d", "role": "%s", "ue_count": "%d", **dict.fromkeys(floats, "%r"), "histogram": cells}, indent=2)
+    del edges, cells
+    template = template.replace("\n", separator[1:]).replace('"%d"', "%d").replace('"%r"', "%r")
     for *fields, counts in columns:
         for *values, row in zip(*(c.tolist() for c in fields), counts.tolist()):
-            yield separator + template % (*values, *row)
-            separator = ",\n"
-    yield _STATS_TAIL
+            yield head + template % (*values, *row)
+            head = separator
+    yield tail + "\n"
 
 
 def _csv(header: str, template: str, tables: Iterable[list[np.ndarray]]) -> Iterator[str]:
@@ -222,10 +198,11 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
     _check_count("beams * ues_per_beam", len(layout) * n)
     # Each array a parameter sizes is tried here: the slant ranges, which
     # with each beam's elevation extrema are all the statistics need; for
-    # bins, the stats.json text of the grid, about 300 B per bin in edges,
-    # beam template and one beam's text; and one beam's boundary points, the
-    # least footprint chunk.
-    sizes = (("ues_per_beam", n, len(layout) * n, "slant ranges"), ("bins", bins, 38 * (bins + 1), "histogram text"),
+    # bins, the working set of json rendering the grid into the stats.json
+    # beam template, about 519 B per bin in placeholder cells, json's text
+    # chunks and the text; and one beam's boundary points, the least
+    # footprint chunk.
+    sizes = (("ues_per_beam", n, len(layout) * n, "slant ranges"), ("bins", bins, 66 * (bins + 1), "histogram text"),
              ("edge_samples", edge_samples, 3 * (6 * edge_samples + 1), "one beam's boundary points"))
     for name, value, size, what in sizes:
         try:

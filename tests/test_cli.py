@@ -633,13 +633,13 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize("name,value,needed", [
-        ("bins", 10**12, 304 * (10**12 + 1)),
-        ("bins", 2**63 - 1, 304 * 2**63),
+        ("bins", 10**12, 528 * (10**12 + 1)),
+        ("bins", 2**63 - 1, 528 * 2**63),
         ("edge_samples", 10**12, 24 * (6 * 10**12 + 1)),
         ("edge_samples", 2**63 - 1, 24 * (6 * (2**63 - 1) + 1)),
     ])
     def test_grid_too_large_to_allocate_raises_before_out_dir(self, tmp_path, name, value, needed):
-        # The bin grid's working set, 304 B per edge, or one beam's boundary
+        # The bin grid's working set, 528 B per edge, or one beam's boundary
         # points: past any address space, or too big for NumPy to size.
         out = tmp_path / "o"
         config = dataclasses.replace(preset("set1", "leo_s"), rings=1, ues_per_beam=2)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import re
 import tracemalloc
 
 import pytest
@@ -39,6 +40,8 @@ LAYOUT_BOUND_MB = 0.15
 # Peak growth per added UE between two drops whose beam chunks both hold
 # about _CHUNK UEs; 8 B of it is the slant range kept for the statistics.
 GROWTH_BOUND_B_PER_UE = 14.0
+# One beam of 3 UEs, so the bin grid sets the growth with bins.
+ONE_BEAM = dataclasses.replace(preset("set1", "leo_s"), rings=0, ues_per_beam=3)
 # Peak of project_footprints on a whole layout over its result's bytes.
 FOOTPRINT_PEAK_RATIO = 1.5
 # Peak of drop_ues on a whole layout over its table's bytes.
@@ -73,6 +76,27 @@ def test_run_peak_grows_by_at_most_the_bound_per_ue(tmp_path):
     growth = traced_peak(run, large, tmp_path) - traced_peak(run, small, tmp_path)
     added_ues = 19 * (2000 - 100)
     assert growth / added_ues < GROWTH_BOUND_B_PER_UE
+
+
+def bins_trial_bytes_per_edge(out_dir) -> float:
+    """The bytes per bin edge that ``run()`` tries to allocate for ``bins``
+    before it makes ``out_dir``, read off its message for ``bins=10**12``."""
+    edges = 10**12 + 1
+    with pytest.raises(ValueError, match=f"^bins={edges - 1} needs") as raised:
+        run(ONE_BEAM, out_dir, bins=edges - 1)
+    return int(re.search(r"needs (\d+) bytes", str(raised.value))[1]) / edges
+
+
+def test_bins_trial_covers_the_grid_working_set(tmp_path):
+    # Peak growth per added bin must not pass what run() tries per edge, or
+    # a bins value could pass the trial and then raise MemoryError after
+    # files were written.  Rendering the stats.json beam template through
+    # json takes about 519 B per bin.  The trial allocation is traced too,
+    # so the growth reads the larger of the two, and equals the trial's
+    # bytes per edge while the trial is the larger.
+    small, large = (traced_peak(run, ONE_BEAM, tmp_path, bins) for bins in (2000, 20000))
+    assert (large - small) / (20000 - 2000) <= bins_trial_bytes_per_edge(tmp_path / "o")
+    assert not (tmp_path / "o").exists()
 
 
 def test_whole_layout_footprints_peak_near_their_size():

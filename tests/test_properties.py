@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -21,6 +22,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from test_golden import CONFIGS  # noqa: E402
 from test_reference_kernels import assert_layout_matches_reference, independent_run  # noqa: E402
 from uvbeams import (  # noqa: E402
+    BeamRole,
     GroundPoint,
     HorizonError,
     SatelliteState,
@@ -36,7 +38,7 @@ from uvbeams import (  # noqa: E402
     sample_point_in_hexagon,
     uv_to_earth,
 )
-from uvbeams.cli import OUTPUT_FILES, PRESET_BEAMWIDTH_DEG, preset, run  # noqa: E402
+from uvbeams.cli import OUTPUT_FILES, PRESET_BEAMWIDTH_DEG, _stats_json, preset, run  # noqa: E402
 from uvbeams.projection import _project_columns  # noqa: E402
 
 deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -85,6 +87,53 @@ def test_beam_stats_counts_every_ue_once_on_one_grid(odd_drop, data, bins):
     for s in stats:
         assert sum(count for _, _, count in s.histogram) == s.ue_count
         assert [(a, b) for a, b, _ in s.histogram] == grid
+
+
+# Any finite float, or one of the least subnormal, a subnormal, the
+# greatest floats, integral floats and floats whose repr has 17 digits.
+stat_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, -5e-324, 2.5e-310, 1e308, -1.7976931348623157e308, 0.0, -0.0, 3.0, 2.0**53, -1e16, 0.30000000000000004, 1234.5678901234567]
+)
+stat_counts = st.integers(0, 2**31)
+
+
+@st.composite
+def stat_chunks(draw, bins):
+    """One chunk of ``analysis._stat_columns``: 1 to 4 beams' columns."""
+    beams = draw(st.integers(1, 4))
+
+    def column(values, dtype=None):
+        return np.array(draw(st.lists(values, min_size=beams, max_size=beams)), dtype=dtype)
+
+    return [
+        column(st.integers(0, 2**32 - 1), np.int64),
+        column(st.sampled_from([role.value for role in BeamRole])),
+        column(stat_counts, np.int64),
+        *(column(stat_floats, np.float64) for _ in range(5)),
+        column(st.lists(stat_counts, min_size=bins, max_size=bins), np.int64).reshape(beams, bins),
+    ]
+
+
+@deterministic
+@given(data=st.data(), bins=st.integers(1, 5), requested=st.integers(1, 2**31), ue_count=stat_counts)
+def test_stats_writer_writes_what_json_writes(data, bins, requested, ue_count):
+    # The writer's %r must write every finite float as json does, not only
+    # those the pipeline produces.
+    edges = data.draw(st.lists(stat_floats, min_size=bins + 1, max_size=bins + 1))
+    chunks = data.draw(st.lists(stat_chunks(bins), min_size=1, max_size=3))
+    names = ("beam_id", "role", "ue_count", "min_slant_km", "max_slant_km", "mean_slant_km", "min_elevation_deg", "max_elevation_deg")
+    beams = [
+        {**dict(zip(names, values)), "histogram": [[lo, hi, count] for lo, hi, count in zip(edges, edges[1:], row)]}
+        for *fields, counts in chunks
+        for *values, row in zip(*(c.tolist() for c in fields), counts.tolist())
+    ]
+    doc = {
+        "bins": requested,
+        "global": {"ue_count": ue_count, "min_slant_km": edges[0], "max_slant_km": edges[-1]},
+        "beams": beams,
+    }
+    text = "".join(_stats_json(iter([np.array(edges), *chunks]), requested, ue_count))
+    assert text == json.dumps(doc, indent=2) + "\n"
 
 
 @deterministic

@@ -1,5 +1,5 @@
-"""README: the library example runs, its stated counts hold, and the CLI
-flag table gives the code's defaults."""
+"""README: the library example runs, its stated counts hold, the CLI flag
+table gives the code's defaults, and the stated bins trial is the code's."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import inspect
 import re
 from pathlib import Path
 
+from test_memory import bins_trial_bytes_per_edge
 from uvbeams import BeamRole, ScenarioConfig
 from uvbeams.cli import _build_parser, run
 
@@ -39,3 +40,9 @@ def test_flag_table_defaults_are_the_code_defaults():
     # table states no other.
     assert table == numeric
     assert len(table) == 7
+
+
+def test_bins_trial_figure_is_the_code_figure(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    (figure,) = re.findall(r"(\d+) B per\s+bin edge", text)
+    assert int(figure) == bins_trial_bytes_per_edge(tmp_path / "o")
