@@ -1,7 +1,7 @@
 """UV-plane beam layouts, seeded UE drops, and spherical-Earth projection for
 non-terrestrial-network system-level simulation setup."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from . import analysis, cli, deployment, layout, projection
 from .analysis import *  # noqa: F401,F403

@@ -226,7 +226,7 @@ def project_footprints(
         b = np.roll(a, -1, axis=1)
         uv = (a + t * (b - a)).reshape(len(a), -1, 2)
         uv = np.concatenate([uv, uv[:, :1]], axis=1)
-        rows = _project_columns(uv[..., 0].ravel(), uv[..., 1].ravel(), sat, lambda *los: los[6:])
+        rows = _project_columns(uv[..., 0].ravel(), uv[..., 1].ravel(), sat, lambda *los: los[5:])
         # The result is made once the first chunk is projected: run() calls
         # this one chunk at a time, and made earlier it would add to the
         # kernel's transient peak.

@@ -92,12 +92,13 @@ def preset(set_name: str, scenario: str) -> ScenarioConfig:
     )
 
 
-def _stats_json(columns: Iterator, bins: int, ue_count: int) -> Iterator[str]:
+def _stats_json(columns: Iterator, ue_count: int) -> Iterator[str]:
     """Yield ``stats.json`` one beam at a time from ``columns``, the bin
     edges and then the column chunks of ``analysis._stat_columns``.
 
     The text is byte-identical to ``json.dump(doc, f, indent=2)`` followed by
-    a newline, where ``doc`` holds the bin count, the global UE count and
+    a newline, where ``doc`` holds the count of bins written (one when every
+    slant range is equal, whatever was asked for), the global UE count and
     slant extrema, and one object per beam with its histogram as
     ``[lo, hi, count]`` lists.  The global extrema are the ends of the grid,
     which linspace keeps exactly.  ``json`` renders the text from
@@ -114,7 +115,7 @@ def _stats_json(columns: Iterator, bins: int, ue_count: int) -> Iterator[str]:
     """
     edges = next(columns).tolist()
     whole_run = {"ue_count": ue_count, "min_slant_km": edges[0], "max_slant_km": edges[-1]}
-    head, separator, tail = json.dumps({"bins": bins, "global": whole_run, "beams": [None, None]}, indent=2).split("null")
+    head, separator, tail = json.dumps({"bins": len(edges) - 1, "global": whole_run, "beams": [None, None]}, indent=2).split("null")
     floats = ("min_slant_km", "max_slant_km", "mean_slant_km", "min_elevation_deg", "max_elevation_deg")
     cells = [[lo, hi, "%d"] for lo, hi in zip(edges, edges[1:])]
     template = json.dumps({"beam_id": "%d", "role": "%s", "ue_count": "%d", **dict.fromkeys(floats, "%r"), "histogram": cells}, indent=2)
@@ -134,12 +135,19 @@ def _csv(header: str, template: str, tables: Iterable[list[np.ndarray]]) -> Iter
 
     The columns are formatted as given, so a -0.0 would be written ``-0``.
     No float column that :func:`run` writes holds one.  Beam centres are
-    ``u_c > 0`` plus lattice offsets.  Under round-to-nearest a sum is -0
-    only when both terms are -0; ``cos`` never returns 0 for a float;
-    ``sin`` and ``atan2`` return -0 only for a -0 input, and ``v`` is never
-    -0.  A product cannot underflow to zero, since
-    :class:`~uvbeams.projection.SatelliteState` keeps the Earth radius and
-    the altitude at or above the square root of the least normal float."""
+    ``u_c > 0`` plus lattice offsets, and UE and boundary points are the
+    centre plus fan offsets.  Under round-to-nearest a sum is -0 only when
+    both terms are -0, and ``x - y`` only when ``x`` is -0, so no ``u`` or
+    ``v`` is -0.  The ground point is ``slant * u``, ``slant * v`` and
+    ``r_s - slant * cos_omega``, with ``slant`` and ``r_s`` positive.  Of
+    the angles, ``pi - asin`` and ``acos`` are never -0, and ``atan2``
+    returns -0 only for a -0 ``v``.  A product cannot underflow to zero:
+    the slant range is at least the altitude, which
+    :class:`~uvbeams.projection.SatelliteState` keeps at or above the square
+    root of the least normal float, about 1.5e-154, so ``slant * u`` could
+    underflow only for ``|u|`` below about 1e-170; a nonzero ``u`` or ``v``
+    is a sum of terms made from a UV radius of at least ``2**-48``, far
+    larger."""
     yield header + "\n"
     for columns in tables:
         for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
@@ -221,7 +229,7 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
     _write(out_dir / "footprints.csv", _csv(FOOTPRINTS_CSV_HEADER, _FOOTPRINTS_ROW, footprints))
     # drop_ues emits each beam's n UEs together, in layout order.
     columns = _stat_columns(layout.beams.id, layout.beams.role, np.arange(0, len(slants), n), slants, extrema, bins)
-    _write(out_dir / "stats.json", _stats_json(columns, bins, len(slants)))
+    _write(out_dir / "stats.json", _stats_json(columns, len(slants)))
 
     summary = dataclasses.asdict(scenario_summary(config))
     manifest = RunManifest(

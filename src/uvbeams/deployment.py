@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .layout import _CORNER_UNIT, BeamLayout, _check_count, _Table
-from .projection import GroundPoint, SatelliteState, UvPoint, _project_columns, _shown, _uv_point
+from .projection import _ANGLE_COLUMNS, GroundPoint, SatelliteState, UvPoint, _angles, _project_columns, _shown, _uv_point
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -267,7 +267,8 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
     # math.degrees is this one multiply, so the columns keep its bits.
     to_degrees = 180.0 / math.pi
 
-    def ground_and_link(d_uv, omega, zod, aod, alpha, slant, x, y, z):
+    def ground_and_link(u, v, d_uv, cos_alpha, slant, x, y, z):
+        _, zod, aod, alpha = _angles(u, v, d_uv, cos_alpha, *_ANGLE_COLUMNS)
         return x, y, z, slant, alpha * to_degrees, zod * to_degrees, aod * to_degrees
 
     beam_id_column = np.repeat(layout.beams.id, ues_per_beam)

@@ -103,9 +103,11 @@ class SatelliteState:
     altitude_km: float
 
     def __post_init__(self) -> None:
-        # The slant range squares the Earth radius, the altitude and their
-        # sum: below the square root of the least normal float a square
-        # underflows, and past the square root of the largest it overflows.
+        # The slant range multiplies the altitude by the Earth radius plus
+        # the orbit radius, and earth_to_uv squares the Earth radius and the
+        # coordinates: below the square root of the least normal float a
+        # product underflows, and past the square root of the largest it
+        # overflows.
         least = math.sqrt(sys.float_info.min)
         for name, value in (("earth radius", self.earth_radius_km), ("altitude", self.altitude_km)):
             # NaN, inf and an int too large for a float all fail these comparisons.
@@ -116,9 +118,11 @@ class SatelliteState:
         bound = math.sqrt(sys.float_info.max)
         if not self.orbit_radius_km <= bound:
             raise ValueError(f"orbit radius must be at most {bound:.5g} km, got {_shown(self.orbit_radius_km)}")
-        # The slant range -r_e * sin(alpha) + sqrt(...) cancels to a relative
-        # error of about 2**-52 * r_e / a; at 2**20 that stays below 5e-10,
-        # half a unit of the CSV's ninth digit.
+        # earth_to_uv's z - r_s subtracts two terms about the orbit radius in
+        # size, so a UV round trip errs about 2**-52 * r_e / a: 2.9e-11 at an
+        # altitude of 2**-20 Earth radii, and 4.6e-10, near half a unit of the
+        # CSV's ninth digit, at 2**-30.  The kernel's slant range does not
+        # cancel; it keeps about 2e-13 relative even at 2**-40.
         if not self.altitude_km >= self.earth_radius_km * 2**-20:
             raise ValueError(
                 f"altitude must be at least 2**-20 times the earth radius, "
@@ -163,15 +167,16 @@ def _each(fn: Callable) -> Callable:
     return lambda *cols: np.fromiter(map(fn, *map(memoryview, cols)), np.float64, len(cols[0]))
 
 
-_LIBM = (math.hypot, math.asin, math.atan2, math.acos, math.sin, math.cos)
-# The functions _line_of_sight applies to columns, in the order of its
-# function parameters.  They are the same libm functions as for floats, one
+# The functions _line_of_sight and _angles apply to columns, in the order of
+# their function parameters.  The libm ones, hypot in the kernel and asin,
+# atan2 and acos in the angles, are the same functions as for floats, one
 # element at a time; NumPy does only the exactly rounded operations
 # (+ - * /, sqrt, minimum, comparisons).  So the two paths agree bit for bit.
 # drop_ues turns radians into degrees on columns by the one multiply by
 # 180 / pi that math.degrees makes, so its degrees keep the scalar bits too.
-_COLUMNS = (*map(_each, _LIBM), np.sqrt, np.minimum,
+_COLUMNS = (_each(math.hypot), np.sqrt, np.minimum, np.asarray,
             lambda d_uv, limit: next(iter(d_uv[~(d_uv <= limit)].tolist()), None))
+_ANGLE_COLUMNS = tuple(map(_each, (math.asin, math.atan2, math.acos)))
 
 # Points per kernel call on columns.  _each makes each Python float one at
 # a time, so the chunk bounds the kernel's NumPy temporaries: about a dozen
@@ -181,16 +186,15 @@ _CHUNK = 2048
 
 
 def _line_of_sight(
-    u, v, sat: SatelliteState, hypot=math.hypot, asin=math.asin, atan2=math.atan2, acos=math.acos,
-    sin=math.sin, cos=math.cos, sqrt=math.sqrt, minimum=min, beyond=lambda d_uv, limit: d_uv,
+    u, v, sat: SatelliteState, hypot=math.hypot, sqrt=math.sqrt, minimum=min, real=float, beyond=lambda d_uv, limit: d_uv,
 ) -> tuple:
     """Shared kernel of :func:`los_geometry`, :func:`uv_to_earth` and the
     columnar pipeline.
 
-    Returns ``(d_uv, omega, zod, aod, elevation, slant_km, x_km, y_km,
-    z_km)`` for one UV point, or for UV columns with ``*_COLUMNS`` in place
-    of the float functions, so a caller that needs both the angles and the
-    ground point solves once.  The functions are parameters, not a table
+    Returns ``(d_uv, cos_alpha, slant_km, x_km, y_km, z_km)`` for one UV
+    point, or for UV columns with ``*_COLUMNS`` in place of the float
+    functions; :func:`_angles` turns ``d_uv`` and ``cos_alpha`` into angles
+    for a caller that needs them.  The functions are parameters, not a table
     unpacked in the body, so the float path pays nothing for them.
     """
     r_e = sat.earth_radius_km
@@ -210,32 +214,37 @@ def _line_of_sight(
             f"UV radius {bad:.9g} is beyond the horizon limit {limit:.9g} "
             f"(earth radius {r_e:.9g} km, altitude {a:.9g} km)"
         )
-    omega = asin(d_uv)
-    zod = math.pi - omega
-    aod = atan2(v, u)
-    # sin(zod) equals d_uv analytically; the minimum only absorbs float
-    # round-off so the arccos stays defined at the horizon boundary.
+    # cos(alpha) = r_s sin(omega) / r_e, with sin(omega) = d_uv; the minimum
+    # only absorbs float round-off at the horizon boundary.
     cos_alpha = minimum(1.0, r_s * d_uv / r_e)
-    alpha = acos(cos_alpha)
-    sin_alpha = sin(alpha)
-    slant = -r_e * sin_alpha + sqrt(r_e * r_e * sin_alpha * sin_alpha + a * a + 2.0 * r_e * a)
-    # The departure direction (zod, aod) scaled by the slant range is the
-    # satellite-to-ground displacement.
-    sin_zod = sin(zod)
-    x = slant * sin_zod * cos(aod)
-    y = slant * sin_zod * sin(aod)
-    z = r_s + slant * cos(zod)
-    return d_uv, omega, zod, aod, alpha, slant, x, y, z
+    cos_omega = sqrt((1.0 - d_uv) * (1.0 + d_uv))
+    sin_alpha = sqrt((1.0 - cos_alpha) * (1.0 + cos_alpha))
+    # TR 38.811's -r_e sin(alpha) + sqrt(r_e^2 sin^2(alpha) + a^2 + 2 r_e a)
+    # is r_s cos(omega) - r_e sin(alpha); times its conjugate over itself it
+    # has no cancellation.  The ray's direction is (u, v, -cos(omega)).  A
+    # coordinate is made a float first, as hypot reads it.
+    slant = a * (r_e + r_s) / (r_s * cos_omega + r_e * sin_alpha)
+    return d_uv, cos_alpha, slant, slant * real(u), slant * real(v), r_s - slant * cos_omega
+
+
+def _angles(u, v, d_uv, cos_alpha, asin=math.asin, atan2=math.atan2, acos=math.acos) -> tuple:
+    """The angles ``(omega, zod, aod, alpha)`` of the UV point ``(u, v)``,
+    from the kernel's ``d_uv`` and ``cos_alpha``: the off-nadir angle, the
+    zenith and azimuth of departure and the elevation.  For columns, pass
+    ``*_ANGLE_COLUMNS`` in place of the float functions."""
+    omega = asin(d_uv)
+    return omega, math.pi - omega, atan2(v, u), acos(cos_alpha)
 
 
 def _project_columns(u: np.ndarray, v: np.ndarray, sat: SatelliteState, pick: Callable) -> np.ndarray:
-    """Rows ``pick(*outputs)`` of :func:`_line_of_sight` over the UV columns
-    ``u`` and ``v``, computed :data:`_CHUNK` points at a time.  A point past
-    the horizon raises the scalar path's :class:`HorizonError` for the first
-    such point.  Empty columns make one empty pass, so the result still has
-    its rows."""
+    """Rows ``pick(u, v, *outputs)`` of :func:`_line_of_sight` over the UV
+    columns ``u`` and ``v``, computed :data:`_CHUNK` points at a time, each
+    ``pick`` given its chunk of ``u`` and ``v``.  A point past the horizon
+    raises the scalar path's :class:`HorizonError` for the first such point.
+    Empty columns make one empty pass, so the result still has its rows."""
     for start in range(0, len(u) or 1, _CHUNK):
-        rows = pick(*_line_of_sight(u[start : start + _CHUNK], v[start : start + _CHUNK], sat, *_COLUMNS))
+        chunk = u[start : start + _CHUNK], v[start : start + _CHUNK]
+        rows = pick(*chunk, *_line_of_sight(*chunk, sat, *_COLUMNS))
         if start == 0:
             out = np.empty((len(rows), len(u)))
         out[:, start : start + _CHUNK] = rows
@@ -252,23 +261,31 @@ def los_geometry(p_uv: UvPoint, sat: SatelliteState) -> LosGeometry:
 
         cos(alpha) = (r_E + a) * sin(zod) / r_E
         d = -r_E * sin(alpha) + sqrt(r_E^2 * sin^2(alpha) + a^2 + 2 * r_E * a)
+          = a * (r_E + r_s) / (r_s * cos(omega) + r_E * sin(alpha)),  r_s = r_E + a
+
+    The second line is 3GPP TR 38.811's first rationalised: it is computed
+    with ``cos(omega) = sqrt((1 - |uv|)(1 + |uv|))`` and ``sin(alpha) =
+    sqrt((1 - cos(alpha))(1 + cos(alpha)))``, so it does not cancel.
 
     Raises :class:`HorizonError` when ``|uv|`` exceeds ``r_E / (r_E + a)``
     or is not a number, and for a coordinate that is an int too large for a
     float; points past the horizon are rejected rather than clamped because
     a clamp would silently bias downstream statistics.
     """
-    return LosGeometry(*_line_of_sight(p_uv.u, p_uv.v, sat)[:6])
+    d_uv, cos_alpha, slant, *_ = _line_of_sight(p_uv.u, p_uv.v, sat)
+    return LosGeometry(d_uv, *_angles(p_uv.u, p_uv.v, d_uv, cos_alpha), slant)
 
 
 def uv_to_earth(p_uv: UvPoint, sat: SatelliteState) -> GroundPoint:
     """Project a UV point onto the Earth sphere along its boresight ray.
 
-    The departure direction (zod, aod) converted to Cartesian and scaled by
-    the slant range gives the satellite-to-ground displacement; adding the
-    satellite position lands on the sphere.
+    The ray's unit direction is ``(u, v, -cos(omega))``, the departure
+    direction (zod, aod) in Cartesian form; scaled by the slant range and
+    added to the satellite position it lands on the sphere.  After the UV
+    radius's ``hypot``, only correctly rounded arithmetic and ``sqrt`` make
+    the point, and no angle is computed.
     """
-    return _ground_point(*_line_of_sight(p_uv.u, p_uv.v, sat)[6:])
+    return _ground_point(*_line_of_sight(p_uv.u, p_uv.v, sat)[3:])
 
 
 def earth_to_uv(p_u: GroundPoint, sat: SatelliteState) -> UvPoint:

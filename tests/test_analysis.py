@@ -32,7 +32,7 @@ from uvbeams import (
     scenario_summary,
     uv_to_earth,
 )
-from uvbeams.projection import _project_columns
+from uvbeams.projection import _ANGLE_COLUMNS, _angles, _project_columns
 
 R_E = 6371.0
 ALT = 1200.0
@@ -378,10 +378,12 @@ class TestFootprintJacobian:
         sat = config.satellite()
         footprints = project_footprints(layout, sat, samples_per_edge=64)
         uv = fan_centroids(layout)
-        # los_geometry's kernel on columns, which gives its bits.
-        omega, alpha, d, *ground = _project_columns(
-            uv[..., 0].ravel(), uv[..., 1].ravel(), sat, lambda *los: (los[1], los[4], los[5], *los[6:])
-        )
+        # los_geometry's kernel and angles on columns, which give its bits.
+        def pick(u, v, d_uv, cos_alpha, slant, *ground):
+            omega, _, _, alpha = _angles(u, v, d_uv, cos_alpha, *_ANGLE_COLUMNS)
+            return omega, alpha, slant, *ground
+
+        omega, alpha, d, *ground = _project_columns(uv[..., 0].ravel(), uv[..., 1].ravel(), sat, pick)
         jacobian = d**2 / (np.cos(omega) * np.sin(alpha))
         ground = np.array(ground) / np.linalg.norm(ground, axis=0)
         plane = np.array([c[:, :-1].sum(axis=1) for c in (footprints.x_km, footprints.y_km, footprints.z_km)])
@@ -431,7 +433,7 @@ class TestUeDensity:
         stats = beam_stats(drop_ues(layout, sat, n, config.seed), layout, bins=50)
         edges = np.array([cell[0] for cell in stats[0].histogram] + [stats[0].histogram[-1][1]])
         uv = fan_centroids(layout)
-        (slant,) = _project_columns(uv[..., 0].ravel(), uv[..., 1].ravel(), sat, lambda *los: (los[5],))
+        (slant,) = _project_columns(uv[..., 0].ravel(), uv[..., 1].ravel(), sat, lambda *los: (los[4],))
         # The shared edges span the sampled slants; the 0.01% of the area
         # outside them counts in the end bins.
         slant = np.clip(slant.reshape(len(layout), -1), edges[0], edges[-1])

@@ -371,7 +371,7 @@ class TestStatsJson:
         gc.collect()
         tracemalloc.start()
         try:
-            longest = max(len(part) for part in _stats_json(columns, 50, len(ues)))
+            longest = max(len(part) for part in _stats_json(columns, len(ues)))
             return longest, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -393,6 +393,15 @@ class TestStatsJson:
         monkeypatch.setattr("uvbeams.analysis.BeamStats", no_beam_stats)
         run(GOLDEN_CONFIGS["wide"], tmp_path)
         assert json.loads((tmp_path / "stats.json").read_text())["global"]["ue_count"] == 1261
+
+    @pytest.mark.parametrize("bins", [None, "7"])
+    def test_bins_is_the_count_written(self, tmp_path, bins):
+        # One UE gives every slant the same value, so the grid falls to the
+        # one cell [lo, lo] whatever was asked for, and "bins" says so.
+        argv = ["--preset", "set1:leo_s", "--rings", "0", "--ues-per-beam", "1", "--out", str(tmp_path)]
+        assert main(argv + (["--bins", bins] if bins else [])) == 0
+        doc = json.loads((tmp_path / "stats.json").read_text())
+        assert doc["bins"] == len(doc["beams"][0]["histogram"]) == 1
 
 
 class TestMain:

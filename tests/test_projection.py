@@ -11,6 +11,7 @@ import dataclasses
 import inspect
 import math
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -119,8 +120,9 @@ class TestSatelliteState:
 
     @pytest.mark.parametrize("re", [6371.0, 1.0, 1e150])
     def test_altitude_at_the_ratio_bound_keeps_the_slant_digits(self, re):
-        # The cancelling slant-range form against the stable one,
-        # (a^2 + 2 r_E a) / (r_E sin(alpha) + sqrt(...)), within half a unit
+        # The kernel's rationalised slant range against TR 38.811's formula
+        # times its conjugate over itself, (a^2 + 2 r_E a) / (r_E sin(alpha)
+        # + sqrt(...)), written from the elevation angle, within half a unit
         # of the ninth digit a CSV cell keeps.
         a = re * 2**-20
         sat = SatelliteState(re, a)
@@ -131,6 +133,19 @@ class TestSatelliteState:
             square = a * a + 2.0 * re * a
             stable = square / (re * sin_alpha + math.sqrt(re * re * sin_alpha * sin_alpha + square))
             assert abs(g.slant_range_km - stable) <= 5e-10 * stable, fraction
+
+
+    @pytest.mark.parametrize("re", [6371.0, 1.0, 1e150])
+    def test_altitude_at_the_ratio_bound_keeps_the_uv_round_trip(self, re):
+        # What cancels at a low altitude is earth_to_uv's z - r_s, two terms
+        # about the orbit radius in size.  At the least altitude accepted the
+        # round trip stays within 1e-10 (3.6e-11 measured); at 2**-30 Earth
+        # radii it would err 4.6e-10, about half a unit of the ninth digit.
+        sat = SatelliteState(re, re * 2**-20)
+        limit = horizon_limit(sat)
+        for u, v in uv_disk_points(1000, limit, seed=5).tolist():
+            q = earth_to_uv(uv_to_earth(UvPoint(u, v), sat), sat)
+            assert math.hypot(q.u - u, q.v - v) <= 1e-10, (u, v)
 
 
 class TestHorizonLimit:
@@ -258,9 +273,79 @@ class TestUvToEarth:
             assert q.y_km == pytest.approx(p.x_km * s + p.y_km * c, abs=1e-9)
             assert q.z_km == pytest.approx(p.z_km, abs=1e-9)
 
+    def test_numpy_scalar_coordinates_project_as_their_floats(self, leo_sat):
+        # The ground point multiplies the coordinates themselves; a float32
+        # times a Python float would stay float32.
+        p = UvPoint(np.float32(0.3), np.float32(-0.2))
+        got = uv_to_earth(p, leo_sat)
+        assert got == uv_to_earth(UvPoint(float(p.u), float(p.v)), leo_sat)
+        assert {type(c) for c in dataclasses.astuple(got)} == {float}
+
     def test_beyond_horizon_propagates(self, leo_sat):
         with pytest.raises(HorizonError):
             uv_to_earth(UvPoint(0.9, 0.0), leo_sat)
+
+
+def decimal_ground(u: float, v: float, sat: SatelliteState) -> tuple[Decimal, Decimal, Decimal, Decimal]:
+    """Oracle at 60 digits: TR 38.811's slant range exactly as written,
+    ``d = -r_E sin(alpha) + sqrt(r_E^2 sin^2(alpha) + a^2 + 2 r_E a)`` with
+    ``cos(alpha) = r_s |uv| / r_E`` and ``sin(alpha) = sqrt(1 - cos^2(alpha))``,
+    and the ground point ``P_sat + d (u, v, -cos(omega))``.  Returns ``(sin
+    alpha, x, y, z)``.  A point inside the float horizon may lie a rounding
+    past the exact one, so ``cos(alpha)`` is capped at 1 as in the kernel."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        r_e, a = Decimal(sat.earth_radius_km), Decimal(sat.altitude_km)
+        r_s = r_e + a
+        u_, v_ = Decimal(u), Decimal(v)
+        d_uv2 = u_ * u_ + v_ * v_
+        cos_alpha = min(Decimal(1), r_s * d_uv2.sqrt() / r_e)
+        sin_alpha = (1 - cos_alpha * cos_alpha).sqrt()
+        d = -r_e * sin_alpha + (r_e * r_e * sin_alpha * sin_alpha + a * a + 2 * r_e * a).sqrt()
+        return sin_alpha, d * u_, d * v_, r_s - d * (1 - d_uv2).sqrt()
+
+
+# Bound on the error of the kernel's cos(alpha): hypot, a multiply and a
+# divide, each within an ulp of a number at most 1.
+COS_ALPHA_ERROR = 4 * 2.0**-53
+
+
+class TestDecimalOracle:
+    """``uv_to_earth`` against TR 38.811's formula as written, evaluated
+    exactly.  The kernel's own rounding may err ``1e-14 * r_s``; on the disk
+    it erred at most 1.7e-15 r_s.  Near the horizon the ground point is
+    ill-conditioned: an error ``e`` in ``cos(alpha)`` moves ``sin(alpha)`` by
+    up to ``min(2e / sin(alpha), sqrt(2e))``, and the slant range by ``r_E``
+    times that, whatever the formula; the bound adds that too.  Measured
+    worst, relative to ``r_s``, at 1200, 600 and 35786 km: 7.7e-11, 5.6e-11
+    and 4.4e-12 at 1e-12 inside the horizon, and 1.1e-8, 1.2e-8 and 2.2e-9
+    nearer, at most 0.48 of the bound.  The angle-form kernel of 0.1.0 gave
+    the same figures to two digits."""
+
+    @staticmethod
+    def points(limit: float) -> list[tuple[float, float]]:
+        """Uniform points of the disk, and points at 0 to 1e-12 inside the
+        horizon that the kernel accepts."""
+        points = [tuple(p) for p in uv_disk_points(1000, limit, seed=3).tolist()]
+        for delta in (0.0, 1e-16, 1e-15, 1e-14, 1e-13, 1e-12):
+            radius = limit - delta
+            ring = [(radius * math.cos(0.1 * k), radius * math.sin(0.1 * k)) for k in range(63)]
+            points += [p for p in ring if math.hypot(*p) <= limit]
+        return points
+
+    @pytest.mark.parametrize("alt", [1200.0, 600.0, 35786.0])
+    def test_ground_point_within_the_conditioning_of_cos_alpha(self, alt):
+        sat = SatelliteState(R_E, alt)
+        r_s = sat.orbit_radius_km
+        points = self.points(horizon_limit(sat))
+        assert len(points) > 1300
+        for u, v in points:
+            sin_alpha, *exact = decimal_ground(u, v, sat)
+            got = uv_to_earth(UvPoint(u, v), sat)
+            error = max(abs(Decimal(c) - e) for c, e in zip((got.x_km, got.y_km, got.z_km), exact))
+            e = COS_ALPHA_ERROR
+            conditioned = R_E * min(2 * e / float(sin_alpha) if sin_alpha else math.inf, math.sqrt(2 * e))
+            assert float(error) <= 1e-14 * r_s + conditioned, (u, v)
 
 
 class TestEarthToUv:

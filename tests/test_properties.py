@@ -39,7 +39,7 @@ from uvbeams import (  # noqa: E402
     uv_to_earth,
 )
 from uvbeams.cli import OUTPUT_FILES, PRESET_BEAMWIDTH_DEG, _stats_json, preset, run  # noqa: E402
-from uvbeams.projection import _project_columns  # noqa: E402
+from uvbeams.projection import _ANGLE_COLUMNS, _angles, _project_columns  # noqa: E402
 
 deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -115,8 +115,8 @@ def stat_chunks(draw, bins):
 
 
 @deterministic
-@given(data=st.data(), bins=st.integers(1, 5), requested=st.integers(1, 2**31), ue_count=stat_counts)
-def test_stats_writer_writes_what_json_writes(data, bins, requested, ue_count):
+@given(data=st.data(), bins=st.integers(1, 5), ue_count=stat_counts)
+def test_stats_writer_writes_what_json_writes(data, bins, ue_count):
     # The writer's %r must write every finite float as json does, not only
     # those the pipeline produces.
     edges = data.draw(st.lists(stat_floats, min_size=bins + 1, max_size=bins + 1))
@@ -128,11 +128,11 @@ def test_stats_writer_writes_what_json_writes(data, bins, requested, ue_count):
         for *values, row in zip(*(c.tolist() for c in fields), counts.tolist())
     ]
     doc = {
-        "bins": requested,
+        "bins": len(edges) - 1,
         "global": {"ue_count": ue_count, "min_slant_km": edges[0], "max_slant_km": edges[-1]},
         "beams": beams,
     }
-    text = "".join(_stats_json(iter([np.array(edges), *chunks]), requested, ue_count))
+    text = "".join(_stats_json(iter([np.array(edges), *chunks]), ue_count))
     assert text == json.dumps(doc, indent=2) + "\n"
 
 
@@ -154,17 +154,17 @@ def test_earth_to_uv_inverts_uv_to_earth_inside_the_horizon(sat, fraction, angle
 @deterministic
 @given(sat=satellites, radii=st.lists(fractions, min_size=2, max_size=64), angle=angles)
 def test_column_kernel_is_finite_and_slant_rises_with_uv_radius(sat, radii, angle):
-    # Why run() needs no finiteness pass over the columns the kernel makes:
-    # inside the horizon every output is finite, and the slant range, the
-    # histogrammed value, grows with the UV radius.  It is the difference of
-    # two terms about the orbit radius in size, so near nadir, where it is
-    # flat, it may fall by an ulp of that radius.
+    # Why run() needs no finiteness pass over the columns the kernel and its
+    # angles make: inside the horizon every output is finite, and the slant
+    # range, the histogrammed value, grows with the UV radius.  Near nadir,
+    # where it is flat, its rounded quotient may fall by an ulp; the bound
+    # is an ulp of the orbit radius, which the slant range never exceeds.
     points = [uv_at(sat, fraction, angle) for fraction in radii]
     u = np.array([p.u for p in points])
     v = np.array([p.v for p in points])
-    outputs = _project_columns(u, v, sat, lambda *los: los)
+    outputs = _project_columns(u, v, sat, lambda u, v, *los: (*los, *_angles(u, v, *los[:2], *_ANGLE_COLUMNS)))
     assert np.isfinite(outputs).all()
-    d_uv, slant = outputs[0], outputs[5]
+    d_uv, slant = outputs[0], outputs[2]
     order = np.argsort(d_uv, kind="stable")
     assert (np.diff(slant[order]) >= -np.spacing(sat.orbit_radius_km)).all()
 

@@ -1,8 +1,10 @@
 """The hot functions against straightforward reference versions.
 
 The references below are the original, unoptimised implementations of the
-beam layout, the hexagon sampler, the line-of-sight projection, the per-UE
-drop, the per-point footprint and the per-beam statistics, the ``json.dump``
+beam layout, the hexagon sampler, the line-of-sight projection (in the
+rationalised form of TR 38.811's formula, which ``test_projection.py``
+checks against the formula as written, at 60 digits), the per-UE drop, the
+per-point footprint and the per-beam statistics, the ``json.dump``
 document the ``stats.json`` writer replaces, and a pipeline built from
 these references alone that makes the five files ``run()`` streams in
 beam chunks.  The package versions must
@@ -61,7 +63,7 @@ from uvbeams import (
 )
 from uvbeams.analysis import _grouped, _stat_columns
 from uvbeams.cli import PRESET_BEAMWIDTH_DEG, OUTPUT_FILES, _stats_json, preset, run
-from uvbeams.projection import _CHUNK, _COLUMNS, _each, _line_of_sight
+from uvbeams.projection import _ANGLE_COLUMNS, _CHUNK, _COLUMNS, _angles, _each, _line_of_sight
 
 
 def ref_hex_cells(rings):
@@ -131,30 +133,29 @@ def ref_sample_point_in_hexagon(center, circumradius, rng):
 
 
 def ref_los_geometry(p_uv, sat):
+    """TR 38.811's line of sight with its slant range rationalised:
+    ``-r_E sin(alpha) + sqrt(r_E^2 sin^2(alpha) + a^2 + 2 r_E a)`` is
+    ``r_s cos(omega) - r_E sin(alpha)``, times its conjugate over itself."""
     r_e = sat.earth_radius_km
+    a = sat.altitude_km
     r_s = sat.orbit_radius_km
     d_uv = math.hypot(p_uv.u, p_uv.v)
-    limit = r_e / r_s
-    if d_uv > limit:
+    if d_uv > r_e / r_s:
         raise HorizonError("beyond the horizon")
     omega = math.asin(d_uv)
-    zod = math.pi - omega
-    aod = math.atan2(p_uv.v, p_uv.u)
     cos_alpha = min(1.0, r_s * d_uv / r_e)
-    alpha = math.acos(cos_alpha)
-    sin_alpha = math.sin(alpha)
-    a = sat.altitude_km
-    slant = -r_e * sin_alpha + math.sqrt(r_e * r_e * sin_alpha * sin_alpha + a * a + 2.0 * r_e * a)
-    return LosGeometry(d_uv, omega, zod, aod, alpha, slant)
+    cos_omega = math.sqrt((1.0 - d_uv) * (1.0 + d_uv))
+    sin_alpha = math.sqrt((1.0 - cos_alpha) * (1.0 + cos_alpha))
+    slant = a * (r_e + r_s) / (r_s * cos_omega + r_e * sin_alpha)
+    return LosGeometry(d_uv, omega, math.pi - omega, math.atan2(p_uv.v, p_uv.u), math.acos(cos_alpha), slant)
 
 
 def ref_uv_to_earth(p_uv, sat):
+    """The satellite plus the slant range times the ray's unit direction,
+    ``(u, v, -cos(omega))``."""
     los = ref_los_geometry(p_uv, sat)
-    sin_zod = math.sin(los.zod_rad)
-    dx = los.slant_range_km * sin_zod * math.cos(los.aod_rad)
-    dy = los.slant_range_km * sin_zod * math.sin(los.aod_rad)
-    dz = los.slant_range_km * math.cos(los.zod_rad)
-    return GroundPoint(dx, dy, sat.orbit_radius_km + dz)
+    d = los.slant_range_km
+    return GroundPoint(d * p_uv.u, d * p_uv.v, sat.orbit_radius_km - d * math.sqrt((1.0 - los.d_uv) * (1.0 + los.d_uv)))
 
 
 def ref_drop_ues(layout, sat, ues_per_beam, seed):
@@ -231,9 +232,9 @@ def ref_beam_stats(ues, layout, bins=50):
     return stats
 
 
-def ref_stats_doc(stats, bins, ue_count):
+def ref_stats_doc(stats, ue_count):
     return {
-        "bins": bins,
+        "bins": len(stats[0].histogram),
         "global": {
             "ue_count": ue_count,
             "min_slant_km": min(s.min_slant_km for s in stats),
@@ -374,10 +375,10 @@ def test_beam_stats_and_stats_json_match_reference(golden_drops, name, variant, 
     ues = VARIANTS[variant](ues, bins)
     stats = beam_stats(ues, layout, bins)
     assert stats == ref_beam_stats(ues, layout, bins)
-    expected = json.dumps(ref_stats_doc(stats, bins, len(ues)), indent=2) + "\n"
+    expected = json.dumps(ref_stats_doc(stats, len(ues)), indent=2) + "\n"
     # Lines, not one string: pytest's diff of two failing multi-megabyte
     # strings takes minutes.
-    text = "".join(_stats_json(_stat_columns(*_grouped(ues, layout), bins), bins, len(ues)))
+    text = "".join(_stats_json(_stat_columns(*_grouped(ues, layout), bins), len(ues)))
     assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 
@@ -452,7 +453,7 @@ def assert_run_stats_json_matches_reference(tmp_path, ues_per_beam, bins):
     assert len(layout) == 7
     run(config, tmp_path, bins=bins, edge_samples=1)
     ues = drop_ues(layout, config.satellite(), ues_per_beam, config.seed)
-    expected = json.dumps(ref_stats_doc(ref_beam_stats(ues, layout, bins), bins, len(ues)), indent=2) + "\n"
+    expected = json.dumps(ref_stats_doc(ref_beam_stats(ues, layout, bins), len(ues)), indent=2) + "\n"
     got = (tmp_path / "stats.json").read_text(encoding="utf-8")
     assert got.splitlines(keepends=True) == expected.splitlines(keepends=True)
 
@@ -486,7 +487,9 @@ def assert_columns_match_scalar(uv, sat):
     scalar = [_line_of_sight(a, b, sat) for a, b in uv]
     assert all(type(c) is np.ndarray for c in columns)
     assert_identical([c.tolist() for c in columns], [list(s) for s in zip(*scalar)])
-    for c in columns[1:5]:
+    angles = _angles(u, v, *columns[:2], *_ANGLE_COLUMNS)
+    assert_identical([c.tolist() for c in angles], [list(s) for s in zip(*(_angles(*p, *s[:2]) for p, s in zip(uv, scalar)))])
+    for c in angles:
         assert_identical(_each(math.degrees)(c).tolist(), [math.degrees(x) for x in c.tolist()])
 
 
@@ -615,7 +618,7 @@ def independent_run(config: ScenarioConfig, bins: int, edge_samples: int) -> dic
             ue_rows,
         ),
         "footprints.csv": csv("beam_id,vertex_idx,x_km,y_km,z_km", "%d,%d,%.9g,%.9g,%.9g\n", footprints),
-        "stats.json": json.dumps(ref_stats_doc(ref_beam_stats(ues, layout, bins), bins, len(ues)), indent=2) + "\n",
+        "stats.json": json.dumps(ref_stats_doc(ref_beam_stats(ues, layout, bins), len(ues)), indent=2) + "\n",
         "manifest.json": json.dumps(manifest, indent=2) + "\n",
     }
 
