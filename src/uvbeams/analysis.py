@@ -105,17 +105,13 @@ def beam_stats(ues: UeTable | Iterable[UeRecord], layout: BeamLayout, bins: int 
     bins = _check_count("bins", bins)
     columns = _stat_columns(*_grouped(ues, layout), bins)
     edges = next(columns)
-    # Every histogram shares one empty cell tuple per bin, and beams with
-    # equal counts share one histogram; both are immutable.
+    # Every histogram shares one immutable empty cell tuple per bin.
     empty = [(a, b, 0) for a, b in zip(edges[:-1].tolist(), edges[1:].tolist())]
-    shared: dict[bytes, tuple] = {}
     stats = []
     for *fields, counts in columns:
-        for (beam_id, role, *values), row in zip(zip(*(c.tolist() for c in fields)), counts):
-            key = row.tobytes()
-            if key not in shared:
-                shared[key] = tuple((*cell[:2], count) if count else cell for cell, count in zip(empty, row.tolist()))
-            stats.append(BeamStats(beam_id, BeamRole(role), *values, shared[key]))
+        for beam_id, role, *values, row in zip(*(c.tolist() for c in fields), counts.tolist()):
+            histogram = tuple((*cell[:2], count) if count else cell for cell, count in zip(empty, row))
+            stats.append(BeamStats(beam_id, BeamRole(role), *values, histogram))
     return stats
 
 

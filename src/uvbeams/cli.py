@@ -23,7 +23,7 @@ from . import __version__
 from .analysis import _beam_chunks, _stat_columns, project_footprints, scenario_summary
 from .deployment import RNG_ALGORITHM, RNG_STREAM_RULE, drop_ues
 from .layout import BeamLayout, ScenarioConfig, _check_count, build_layout
-from .projection import HorizonError, SatelliteState
+from .projection import _CHUNK, HorizonError, SatelliteState
 
 __all__ = [
     "GEO_ALTITUDE_KM",
@@ -204,14 +204,19 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
     sat = config.satellite()
     n = config.ues_per_beam
     _check_count("beams * ues_per_beam", len(layout) * n)
-    # Each array a parameter sizes is tried here: the slant ranges, which
-    # with each beam's elevation extrema are all the statistics need; for
-    # bins, the working set of json rendering the grid into the stats.json
-    # beam template, about 519 B per bin in placeholder cells, json's text
-    # chunks and the text; and one beam's boundary points, the least
-    # footprint chunk.
-    sizes = (("ues_per_beam", n, len(layout) * n, "slant ranges"), ("bins", bins, 66 * (bins + 1), "histogram text"),
-             ("edge_samples", edge_samples, 3 * (6 * edge_samples + 1), "one beam's boundary points"))
+    # Each parameter's working set is tried here, in words: tracemalloc's
+    # growth of run() with the parameter, rounded up to whole words, plus
+    # one word of margin.  For ues_per_beam, the slant ranges, which with
+    # each beam's elevation extrema are all the statistics need, and one
+    # drop chunk, one beam or up to _CHUNK UEs, at about 88 B per UE; for
+    # bins, json rendering the grid into the stats.json beam template,
+    # about 519 B per bin in placeholder cells, json's text chunks and the
+    # text; for edge_samples, one footprint chunk, one beam or up to _CHUNK
+    # boundary points, at about 61 B per point.
+    beams, points = len(layout), 6 * edge_samples + 1
+    sizes = (("ues_per_beam", n, beams * n + 12 * min(beams * n, max(n, _CHUNK)), "slant ranges and one drop chunk"),
+             ("bins", bins, 66 * (bins + 1), "histogram text"),
+             ("edge_samples", edge_samples, 9 * min(beams * points, max(points, _CHUNK)), "one footprint chunk"))
     for name, value, size, what in sizes:
         try:
             np.empty(size)

@@ -93,12 +93,7 @@ def beam_rng(seed: int, beam_id: int) -> np.random.Generator:
     :class:`ValueError`."""
     _check_count("seed", seed)
     _check_count("beam_id", beam_id)
-    # The rule's SeedSequence rides along so that ``seed_seq`` and
-    # ``spawn()`` of the generator follow the rule too; the state is the
-    # package's own derivation, the one drop_ues uses.
-    bit_generator = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(beam_id,)))
-    bit_generator.state = next(_stream_states(seed, [beam_id]))
-    return np.random.Generator(bit_generator)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(beam_id,))))
 
 
 def _stream_states(seed: int, beam_ids: list[int]) -> Iterator[dict]:
@@ -214,8 +209,9 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
     are read at once and decoded as NumPy's ``integers(6)`` (Lemire's
     multiply-shift on a 32-bit half word) and ``random()`` would decode them,
     5 outputs per pair of UEs.  A beam whose draw would take Lemire's
-    rejection branch (about 1e-9 per UE) is drawn by :func:`beam_rng`
-    instead.  Every UE is still placed by one call of
+    rejection branch (about 1e-9 per UE) is drawn instead by a
+    ``Generator`` on the beam's stream, which draws as :func:`beam_rng`
+    does.  Every UE is still placed by one call of
     :func:`sample_point_in_hexagon`, fed the decoded values in its draw
     order: the fan-triangle arithmetic keeps one implementation, and a trace
     of the drop still counts one sampler call per UE.
@@ -241,9 +237,11 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
     uniforms = (raw[:, np.arange(raw.shape[1]) % 5 != 0] >> 11) * 2.0**-53
     del raw
     # Lemire's method redraws when the low word of scaled is below
-    # 2**32 % 6 == 4; such a beam is drawn by its Generator instead.
+    # 2**32 % 6 == 4; such a beam is drawn by a Generator on its stream
+    # instead.
     for row in np.flatnonzero(((scaled & _MASK32) < 4).any(axis=1)):
-        rng = beam_rng(seed, beam_ids[row])
+        bit_generator.state = next(_stream_states(seed, [beam_ids[row]]))
+        rng = np.random.Generator(bit_generator)
         for j in range(n):
             triangles[row, j] = rng.integers(6)
             uniforms[row, 2 * j : 2 * j + 2] = rng.random(), rng.random()

@@ -123,11 +123,15 @@ class SatelliteState:
         # altitude of 2**-20 Earth radii, and 4.6e-10, near half a unit of the
         # CSV's ninth digit, at 2**-30.  The kernel's slant range does not
         # cancel; it keeps about 2e-13 relative even at 2**-40.
+        given = f"got altitude {self.altitude_km} km and earth radius {self.earth_radius_km} km"
         if not self.altitude_km >= self.earth_radius_km * 2**-20:
-            raise ValueError(
-                f"altitude must be at least 2**-20 times the earth radius, "
-                f"got altitude {self.altitude_km} km and earth radius {self.earth_radius_km} km"
-            )
+            raise ValueError(f"altitude must be at least 2**-20 times the earth radius, {given}")
+        # The ground point's z = r_s - slant * cos(omega) subtracts two terms
+        # about the orbit radius in size, so a ground point lies about
+        # 2**-52 * r_s off the sphere: measured, at most 2.4e-10 of the Earth
+        # radius at an altitude of 2**20 Earth radii, and up to 1.2e-7 at 2**30.
+        if not self.altitude_km <= self.earth_radius_km * 2**20:
+            raise ValueError(f"altitude must be at most 2**20 times the earth radius, {given}")
 
     @property
     def orbit_radius_km(self) -> float:

@@ -196,16 +196,6 @@ class TestBeamStats:
         assert len(cells) == len(layout) * 50
         assert len(set(map(id, cells))) <= 50 + sum(cell[2] > 0 for cell in cells)
 
-    def test_beams_with_equal_counts_share_one_histogram(self):
-        # One UE per beam: each histogram has one count of 1 in one of the
-        # 50 bins, so the 1261 beams need at most 50 histograms.
-        config = CONFIGS["wide"]
-        layout = build_layout(config)
-        ues = drop_ues(layout, config.satellite(), config.ues_per_beam, config.seed)
-        stats = beam_stats(ues, layout, bins=50)
-        distinct = {s.histogram for s in stats}
-        assert len({id(s.histogram) for s in stats}) == len(distinct) <= 50
-
 
 def nearest_to_nadir(beam, radius):
     """The point of a beam's closed hexagon nearest nadir: nadir itself when

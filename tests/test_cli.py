@@ -507,6 +507,10 @@ class TestMain:
                 "altitude must be at least 2**-20 times the earth radius, got altitude 1200.0 km and earth radius 1.3e+154 km",
             ),
             (
+                ["--beamwidth-deg", "1e-7", "--altitude-km", "1e10", "--rings", "0", "--ues-per-beam", "3", "--elevation-deg", "90"],
+                "altitude must be at most 2**20 times the earth radius, got altitude 10000000000.0 km and earth radius 6371.0 km",
+            ),
+            (
                 ["--beamwidth-deg", "4.4127", "--earth-radius-km", "1e-300", "--altitude-km", "1e-300", "--rings", "1",
                  "--ues-per-beam", "3"],
                 "earth radius must be at least 1.4917e-154 km, got 1e-300",
@@ -525,7 +529,7 @@ class TestMain:
             ),
         ],
         ids=[
-            "preset_without_colon", "earth_radius_orbit", "altitude_orbit", "altitude_ratio", "earth_radius_float_range",
+            "preset_without_colon", "earth_radius_orbit", "altitude_orbit", "altitude_ratio", "altitude_ceiling", "earth_radius_float_range",
             "beamwidth_radius_0", "beamwidth_radius_below_2**-48", "rings_past_beam_id_range",
         ],
     )
@@ -637,19 +641,22 @@ class TestMain:
         # UEs pass the id rule and are too big for NumPy to size.
         out = tmp_path / "o"
         config = dataclasses.replace(preset("set1", "leo_s"), rings=0, ues_per_beam=ues_per_beam)
-        with pytest.raises(ValueError, match=f"ues_per_beam={ues_per_beam} needs {8 * ues_per_beam} bytes"):
+        # One beam is one drop chunk: 8 B of slant range and 96 B of chunk
+        # working set per UE.
+        with pytest.raises(ValueError, match=f"ues_per_beam={ues_per_beam} needs {104 * ues_per_beam} bytes"):
             run(config, out)
         assert not out.exists()
 
     @pytest.mark.parametrize("name,value,needed", [
         ("bins", 10**12, 528 * (10**12 + 1)),
         ("bins", 2**63 - 1, 528 * 2**63),
-        ("edge_samples", 10**12, 24 * (6 * 10**12 + 1)),
-        ("edge_samples", 2**63 - 1, 24 * (6 * (2**63 - 1) + 1)),
+        ("edge_samples", 10**12, 72 * (6 * 10**12 + 1)),
+        ("edge_samples", 2**63 - 1, 72 * (6 * (2**63 - 1) + 1)),
     ])
     def test_grid_too_large_to_allocate_raises_before_out_dir(self, tmp_path, name, value, needed):
-        # The bin grid's working set, 528 B per edge, or one beam's boundary
-        # points: past any address space, or too big for NumPy to size.
+        # The bin grid's working set, 528 B per edge, or one beam's footprint
+        # chunk, 72 B per boundary point: past any address space, or too big
+        # for NumPy to size.
         out = tmp_path / "o"
         config = dataclasses.replace(preset("set1", "leo_s"), rings=1, ues_per_beam=2)
         with pytest.raises(ValueError, match=f"^{name}={value} needs {needed} bytes of"):
@@ -687,13 +694,14 @@ class TestModuleEntryPoint:
         assert "altitude" in proc.stderr
 
     def test_drop_too_large_to_allocate_exits_1_with_nothing_written(self, tmp_path):
-        # 61 beams x 10**12 UEs need 488 TB of slant ranges.
+        # 61 beams x 10**12 UEs need 488 TB of slant ranges, and a drop
+        # chunk of one beam 96 TB more.
         out = tmp_path / "o"
         proc = self._run("--preset", "set1:leo_s", "--ues-per-beam", str(10**12), "--out", str(out))
         assert proc.returncode == 1
         assert proc.stderr == (
-            "uvbeams: error: ues_per_beam=1000000000000 needs 488000000000000 bytes"
-            " of slant ranges, which cannot be allocated\n"
+            "uvbeams: error: ues_per_beam=1000000000000 needs 584000000000000 bytes"
+            " of slant ranges and one drop chunk, which cannot be allocated\n"
         )
         assert not out.exists()
 

@@ -78,25 +78,60 @@ def test_run_peak_grows_by_at_most_the_bound_per_ue(tmp_path):
     assert growth / added_ues < GROWTH_BOUND_B_PER_UE
 
 
+def trial_bytes(out_dir, name, config=ONE_BEAM, **counts) -> int:
+    """The bytes that ``run()`` tries to allocate for the parameter ``name``,
+    set too large to allocate, read off the message it raises before it
+    makes ``out_dir``."""
+    with pytest.raises(ValueError, match=f"^{name}=[0-9]+ needs") as raised:
+        run(config, out_dir, **counts)
+    assert not out_dir.exists()
+    return int(re.search(r"needs (\d+) bytes", str(raised.value))[1])
+
+
 def bins_trial_bytes_per_edge(out_dir) -> float:
-    """The bytes per bin edge that ``run()`` tries to allocate for ``bins``
-    before it makes ``out_dir``, read off its message for ``bins=10**12``."""
-    edges = 10**12 + 1
-    with pytest.raises(ValueError, match=f"^bins={edges - 1} needs") as raised:
-        run(ONE_BEAM, out_dir, bins=edges - 1)
-    return int(re.search(r"needs (\d+) bytes", str(raised.value))[1]) / edges
+    """The bytes per bin edge that ``run()`` tries to allocate for ``bins``,
+    read off its message for ``bins=10**12``."""
+    return trial_bytes(out_dir, "bins", bins=10**12) / (10**12 + 1)
+
+
+def ues_trial_bytes_per_ue(out_dir) -> float:
+    """The bytes per UE that ``run()`` tries to allocate for a one-beam drop,
+    read off its message for ``ues_per_beam=10**12``."""
+    return trial_bytes(out_dir, "ues_per_beam", dataclasses.replace(ONE_BEAM, ues_per_beam=10**12)) / 10**12
+
+
+def edge_trial_bytes_per_point(out_dir) -> float:
+    """The bytes per boundary point that ``run()`` tries to allocate for one
+    beam's footprint, read off its message for ``edge_samples=10**12``."""
+    return trial_bytes(out_dir, "edge_samples", edge_samples=10**12) / (6 * 10**12 + 1)
+
+
+# Peak growth per added unit must not pass what run() tries per unit, or a
+# value could pass the trial and then raise MemoryError after files were
+# written.  The trial allocation is traced too, so the growth reads the
+# larger of the two, and about the trial's bytes per unit while the trial is
+# the larger.
 
 
 def test_bins_trial_covers_the_grid_working_set(tmp_path):
-    # Peak growth per added bin must not pass what run() tries per edge, or
-    # a bins value could pass the trial and then raise MemoryError after
-    # files were written.  Rendering the stats.json beam template through
-    # json takes about 519 B per bin.  The trial allocation is traced too,
-    # so the growth reads the larger of the two, and equals the trial's
-    # bytes per edge while the trial is the larger.
+    # Rendering the stats.json beam template through json takes about 519 B
+    # per bin.
     small, large = (traced_peak(run, ONE_BEAM, tmp_path, bins) for bins in (2000, 20000))
     assert (large - small) / (20000 - 2000) <= bins_trial_bytes_per_edge(tmp_path / "o")
-    assert not (tmp_path / "o").exists()
+
+
+def test_ues_trial_covers_the_drop_chunk_working_set(tmp_path):
+    # One beam is one drop chunk: about 88 B per UE of drop, projection and
+    # UE table, besides the 8 B slant range kept for the statistics.
+    small, large = (traced_peak(run, dataclasses.replace(ONE_BEAM, ues_per_beam=n), tmp_path) for n in (20000, 60000))
+    assert (large - small) / (60000 - 20000) <= ues_trial_bytes_per_ue(tmp_path / "o")
+
+
+def test_edge_samples_trial_covers_the_footprint_chunk_working_set(tmp_path):
+    # One beam is one footprint chunk: about 61 B per boundary point of
+    # hexagon samples, projection and footprint table.
+    small, large = (traced_peak(run, ONE_BEAM, tmp_path, 50, samples) for samples in (2000, 6000))
+    assert (large - small) / (6 * (6000 - 2000)) <= edge_trial_bytes_per_point(tmp_path / "o")
 
 
 def test_whole_layout_footprints_peak_near_their_size():

@@ -37,6 +37,9 @@ R_S = R_E + ALT
 MAX_ORBIT_KM = math.sqrt(sys.float_info.max)
 # The least Earth radius and altitude whose squares are normal floats.
 LEAST_KM = math.sqrt(sys.float_info.min)
+# The Earth radius at which the altitude ceiling, 2**20 Earth radii, meets
+# the orbit-radius bound: MAX_ORBIT_KM - CAP_EARTH_KM is 2**20 of it exactly.
+CAP_EARTH_KM = MAX_ORBIT_KM / (2**20 + 1)
 
 
 def ray_sphere_ground(u: float, v: float, sat: SatelliteState) -> tuple[float, float, float]:
@@ -76,6 +79,8 @@ class TestSatelliteState:
             pytest.param(math.nextafter(MAX_ORBIT_KM, math.inf), 1.0, id="orbit-one-ulp-past"),
             # Altitudes below 2**-20 times the Earth radius.
             pytest.param(6371.0, math.nextafter(6371.0 * 2**-20, 0.0), id="altitude-one-ulp-below-ratio"),
+            # Altitudes above 2**20 times the Earth radius.
+            pytest.param(6371.0, math.nextafter(6371.0 * 2**20, math.inf), id="altitude-one-ulp-past-ceiling"),
             pytest.param(1.3e154, 1200.0, id="altitude-ratio-1.3e154-1200"),
             # Below the square root of the least normal float the slant
             # range's squares underflow, and the ground points leave the sphere.
@@ -109,14 +114,31 @@ class TestSatelliteState:
         with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got an int of 16610 bits$"):
             SatelliteState(*args)
 
-    @pytest.mark.parametrize("re,alt", [(6371.0, MAX_ORBIT_KM), (MAX_ORBIT_KM / 2, MAX_ORBIT_KM / 2)], ids=["altitude", "halves"])
+    @pytest.mark.parametrize(
+        "re,alt", [(CAP_EARTH_KM, MAX_ORBIT_KM - CAP_EARTH_KM), (MAX_ORBIT_KM / 2, MAX_ORBIT_KM / 2)], ids=["altitude", "halves"]
+    )
     def test_orbit_radius_at_the_bound_projects_to_finite_numbers(self, re, alt):
+        # The greatest altitude is where the ceiling meets the orbit bound;
+        # its ground points are finite and on the sphere.
         sat = SatelliteState(re, alt)
         assert sat.orbit_radius_km == MAX_ORBIT_KM
         limit = horizon_limit(sat)
         for p in (UvPoint(0.0, 0.0), UvPoint(0.999 * limit, 0.0), UvPoint(0.0, -0.5 * limit)):
             values = dataclasses.astuple(los_geometry(p, sat)) + dataclasses.astuple(uv_to_earth(p, sat))
             assert all(map(math.isfinite, values)), (p, values)
+            assert abs(math.hypot(*values[-3:]) - re) <= 5e-10 * re, p
+
+    @pytest.mark.parametrize("re", [6371.0, 1.0, LEAST_KM, CAP_EARTH_KM])
+    def test_altitude_at_the_ceiling_projects_onto_the_sphere(self, re):
+        # z = r_s - slant cos(omega) errs about an ulp of the orbit radius,
+        # 2**-32 of the Earth radius at the ceiling; measured at most 2.4e-10
+        # along +u, within half a unit of the ninth digit a CSV cell keeps.
+        sat = SatelliteState(re, re * 2**20)
+        assert sat.orbit_radius_km <= MAX_ORBIT_KM
+        limit = horizon_limit(sat)
+        for fraction in np.linspace(0.0, 0.999999, 2001).tolist():
+            p = uv_to_earth(UvPoint(fraction * limit, 0.0), sat)
+            assert abs(math.hypot(p.x_km, p.y_km, p.z_km) - re) <= 5e-10 * re, fraction
 
     @pytest.mark.parametrize("re", [6371.0, 1.0, 1e150])
     def test_altitude_at_the_ratio_bound_keeps_the_slant_digits(self, re):

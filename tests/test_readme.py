@@ -1,5 +1,6 @@
 """README: the library example runs, its stated counts hold, the CLI flag
-table gives the code's defaults, and the stated bins trial is the code's."""
+table gives the code's defaults, and the stated trial allocations are the
+code's."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import inspect
 import re
 from pathlib import Path
 
-from test_memory import bins_trial_bytes_per_edge
+from test_memory import bins_trial_bytes_per_edge, edge_trial_bytes_per_point, ues_trial_bytes_per_ue
 from uvbeams import BeamRole, ScenarioConfig
 from uvbeams.cli import _build_parser, run
 
@@ -46,3 +47,12 @@ def test_bins_trial_figure_is_the_code_figure(tmp_path):
     text = README.read_text(encoding="utf-8")
     (figure,) = re.findall(r"(\d+) B per\s+bin edge", text)
     assert int(figure) == bins_trial_bytes_per_edge(tmp_path / "o")
+
+
+def test_drop_and_footprint_trial_figures_are_the_code_figures(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    (slant,) = re.findall(r"drop, (\d+) B per UE,", text)
+    (chunk,) = re.findall(r"(\d+) B per UE of one drop chunk", text)
+    (point,) = re.findall(r"(\d+) B per\s+boundary point of one footprint chunk", text)
+    assert int(slant) + int(chunk) == ues_trial_bytes_per_ue(tmp_path / "o")
+    assert int(point) == edge_trial_bytes_per_point(tmp_path / "o")
