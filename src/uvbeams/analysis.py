@@ -17,12 +17,10 @@ from .layout import (
     BeamRole,
     ScenarioConfig,
     _check_count,
+    _lattice,
     _Table,
-    adjacent_beam_spacing,
-    beam_radius,
-    center_offset,
 )
-from .projection import _CHUNK, GroundPoint, SatelliteState, _project_columns, horizon_limit
+from .projection import _CHUNK, GroundPoint, SatelliteState, _project_columns
 
 __all__ = [
     "BeamStats",
@@ -233,8 +231,10 @@ def project_footprints(
 
 
 def footprint_area_km2(footprint: Footprint) -> float:
-    """Shoelace area of the boundary projected on the tangent plane at its
-    centroid.
+    """Area of the boundary projected on the plane normal to its centroid's
+    direction: half the boundary's vector area about the centroid, dotted
+    with the centroid's unit vector.  The last point, a repeat of the first,
+    is dropped, and the boundary wraps around.
 
     Beam footprints are tiny compared to the Earth, so the planar polygon
     area is an adequate size/distortion metric; it is not a spherical area.
@@ -245,23 +245,14 @@ def footprint_area_km2(footprint: Footprint) -> float:
     cy = sum(p.y_km for p in pts) / n
     cz = sum(p.z_km for p in pts) / n
     norm = math.sqrt(cx * cx + cy * cy + cz * cz)
-    nx, ny, nz = cx / norm, cy / norm, cz / norm
-    # Tangent basis: pick the axis least aligned with the normal.
-    hx, hy, hz = (1.0, 0.0, 0.0) if abs(nz) > 0.9 else (0.0, 0.0, 1.0)
-    e1x = hy * nz - hz * ny
-    e1y = hz * nx - hx * nz
-    e1z = hx * ny - hy * nx
-    e1n = math.sqrt(e1x * e1x + e1y * e1y + e1z * e1z)
-    e1x, e1y, e1z = e1x / e1n, e1y / e1n, e1z / e1n
-    e2x = ny * e1z - nz * e1y
-    e2y = nz * e1x - nx * e1z
-    e2z = nx * e1y - ny * e1x
-    xs = [p.x_km * e1x + p.y_km * e1y + p.z_km * e1z for p in pts]
-    ys = [p.x_km * e2x + p.y_km * e2y + p.z_km * e2z for p in pts]
-    area2 = sum(
-        xs[i] * ys[(i + 1) % n] - xs[(i + 1) % n] * ys[i] for i in range(n)
-    )
-    return abs(area2) / 2.0
+    d = [(p.x_km - cx, p.y_km - cy, p.z_km - cz) for p in pts]
+    # The vector area's components: the sums of d_i x d_(i+1), left to right.
+    ax, ay, az = map(sum, zip(*(
+        (y0 * z1 - z0 * y1, z0 * x1 - x0 * z1, x0 * y1 - y0 * x1)
+        for (x0, y0, z0), (x1, y1, z1) in zip(d, d[1:] + d[:1])
+    )))
+    # The unit normal comes first: ax * cx can overflow where the area cannot.
+    return abs(ax * (cx / norm) + ay * (cy / norm) + az * (cz / norm)) / 2.0
 
 
 def scenario_summary(config: ScenarioConfig) -> ScenarioSummary:
@@ -269,12 +260,7 @@ def scenario_summary(config: ScenarioConfig) -> ScenarioSummary:
     rings = config.ring_count
     stats_rings = min(rings, STATISTICS_RINGS)
     return ScenarioSummary(
-        beam_radius=beam_radius(config.beamwidth_3db_deg),
-        spacing=adjacent_beam_spacing(config.beamwidth_3db_deg),
-        center_offset_u=center_offset(
-            config.center_elevation_deg, config.earth_radius_km, config.altitude_km
-        ),
-        horizon_limit=horizon_limit(config.satellite()),
+        *_lattice(config),
         beam_count=1 + 3 * rings * (rings + 1),
         statistics_beam_count=1 + 3 * stats_rings * (stats_rings + 1),
     )

@@ -230,7 +230,7 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
 
     _write(out_dir / "beams.csv", _csv(BEAMS_CSV_HEADER, _BEAMS_ROW, [layout.beams.columns()]))
     _write(out_dir / "ues.csv", _csv(UES_CSV_HEADER, _UES_ROW, _ue_tables(layout, sat, n, config.seed, slants, extrema)))
-    footprints = (project_footprints(chunk, sat, edge_samples).columns() for _, chunk in _beam_chunks(layout, 6 * edge_samples + 1))
+    footprints = (project_footprints(chunk, sat, edge_samples).columns() for _, chunk in _beam_chunks(layout, points))
     _write(out_dir / "footprints.csv", _csv(FOOTPRINTS_CSV_HEADER, _FOOTPRINTS_ROW, footprints))
     # drop_ues emits each beam's n UEs together, in layout order.
     columns = _stat_columns(layout.beams.id, layout.beams.role, np.arange(0, len(slants), n), slants, extrema, bins)

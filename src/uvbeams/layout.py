@@ -366,6 +366,18 @@ def hexagon_contains(center: UvPoint, circumradius: float, point: UvPoint, tol: 
         raise ValueError("a hexagon coordinate or circumradius is too large for a float") from None
 
 
+def _lattice(config: ScenarioConfig) -> tuple[float, float, float, float]:
+    """The beam radius, spacing, centre offset and horizon limit of
+    ``config``: the constants :func:`build_layout` places the beams by and
+    ``scenario_summary`` reports."""
+    return (
+        beam_radius(config.beamwidth_3db_deg),
+        adjacent_beam_spacing(config.beamwidth_3db_deg),
+        center_offset(config.center_elevation_deg, config.earth_radius_km, config.altitude_km),
+        horizon_limit(config.satellite()),
+    )
+
+
 def build_layout(config: ScenarioConfig) -> BeamLayout:
     """Place the hexagonal beam grid on the UV-plane.
 
@@ -376,12 +388,7 @@ def build_layout(config: ScenarioConfig) -> BeamLayout:
     no more rings than the horizon admits, so a ring count far past the
     horizon fails as fast as one just past it.
     """
-    radius = beam_radius(config.beamwidth_3db_deg)
-    spacing = adjacent_beam_spacing(config.beamwidth_3db_deg)
-    u_c = center_offset(
-        config.center_elevation_deg, config.earth_radius_km, config.altitude_km
-    )
-    limit = horizon_limit(config.satellite())
+    radius, spacing, u_c, limit = _lattice(config)
     # Every cell of ring n lies at least n * spacing * sqrt(3) / 2 from the
     # centre beam, at u_c >= 0, so from ring (limit + u_c) / (spacing *
     # sqrt(3) / 2) on every beam is past the horizon.  One ring more absorbs

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -383,6 +384,48 @@ class TestFootprintJacobian:
         oracle = sub_triangle * (jacobian.reshape(len(layout), -1) * weight).sum(axis=1)
         areas = np.array([footprint_area_km2(fp) for fp in footprints])
         assert np.max(np.abs(areas / oracle - 1.0)) < 2e-4
+
+
+class TestFootprintArea:
+    """``footprint_area_km2`` on boundaries of known area, and across the
+    float range the config accepts."""
+
+    @pytest.mark.parametrize("sides", [6, 48])
+    def test_planar_polygons_at_every_orientation(self, sides):
+        # Regular polygons in planes normal to n, at polar angles 0 to 179
+        # degrees and 6371 km from the origin; |n_z| < 0.9 from 26 to 154.
+        turns = [2.0 * math.pi * k / sides for k in range(sides)]
+        phi = math.radians(37.0)
+        for polar in range(180):
+            theta = math.radians(polar)
+            n = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+            e1 = (math.cos(theta) * math.cos(phi), math.cos(theta) * math.sin(phi), -math.sin(theta))
+            e2 = (-math.sin(phi), math.cos(phi), 0.0)
+            for radius in (20.0, 150.0, 1000.0):
+                points = [
+                    GroundPoint(*(R_E * a + radius * (math.cos(t) * b + math.sin(t) * c) for a, b, c in zip(n, e1, e2)))
+                    for t in turns
+                ]
+                exact = sides / 2.0 * radius**2 * math.sin(2.0 * math.pi / sides)
+                area = footprint_area_km2(Footprint(0, (*points, points[0])))
+                assert abs(area / exact - 1.0) <= 1e-12, (polar, radius)
+
+    @pytest.mark.parametrize(
+        "earth_radius",
+        [6371.0, 1e150, math.sqrt(sys.float_info.max) / 2.01, 1e-100, 4.04 * math.sqrt(sys.float_info.min)],
+    )
+    def test_area_scales_as_the_earth_radius_squared(self, earth_radius):
+        # At the float-range bounds: the orbit radius, 1.25 r_E, at most
+        # sqrt(float max), and the altitude, 0.25 r_E, at least sqrt(float
+        # min).  Cross products times the centroid would overflow at 1e150.
+        def scaled_areas(r):
+            config = ScenarioConfig(
+                beamwidth_3db_deg=4.4127, altitude_km=0.25 * r, earth_radius_km=r, center_elevation_deg=40.0, rings=1
+            )
+            footprints = project_footprints(build_layout(config), config.satellite())
+            return np.array([footprint_area_km2(fp) / r**2 for fp in footprints])
+
+        assert np.max(np.abs(scaled_areas(earth_radius) / scaled_areas(1.0) - 1.0)) <= 1e-12
 
 
 # The 0.001 upper quantile of the chi-square distribution with the degrees

@@ -1,6 +1,6 @@
 """README: the library example runs, its stated counts hold, the CLI flag
-table gives the code's defaults, and the stated trial allocations are the
-code's."""
+table gives the code's defaults, and the stated trial allocations and
+footprint areas are the code's."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ import re
 from pathlib import Path
 
 from test_memory import bins_trial_bytes_per_edge, edge_trial_bytes_per_point, ues_trial_bytes_per_ue
-from uvbeams import BeamRole, ScenarioConfig
+from test_golden import CONFIGS
+from uvbeams import BeamRole, ScenarioConfig, build_layout, footprint_area_km2, project_footprints
 from uvbeams.cli import _build_parser, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -56,3 +57,23 @@ def test_drop_and_footprint_trial_figures_are_the_code_figures(tmp_path):
     (point,) = re.findall(r"(\d+) B per\s+boundary point of one footprint chunk", text)
     assert int(slant) + int(chunk) == ues_trial_bytes_per_ue(tmp_path / "o")
     assert int(point) == edge_trial_bytes_per_point(tmp_path / "o")
+
+
+def test_footprint_distortion_figures_are_the_code_figures():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    least, greatest, dense = re.search(r"footprint areas from ([\d,]+) to ([\d,]+) km², a ratio of ([\d.]+)\.", text).groups()
+    (statistics,) = re.findall(r"19 statistics beams span a ratio of ([\d.]+)", text)
+    (wide,) = re.findall(r"wide GEO layout \([^)]*\) a ratio of ([\d.]+)\.", text)
+
+    def areas(name, role=None):
+        layout = build_layout(CONFIGS[name])
+        footprints = project_footprints(layout, CONFIGS[name].satellite(), samples_per_edge=8)
+        return [footprint_area_km2(fp) for fp, beam in zip(footprints, layout, strict=True) if role in (None, beam.role)]
+
+    def ratio(values):
+        return f"{max(values) / min(values):.2f}"
+
+    dense_areas = areas("dense")
+    assert (f"{min(dense_areas):,.0f}", f"{max(dense_areas):,.0f}", ratio(dense_areas)) == (least, greatest, dense)
+    assert ratio(areas("dense", BeamRole.STATISTICS)) == statistics
+    assert ratio(areas("wide")) == wide
