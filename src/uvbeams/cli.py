@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
+import itertools
 import json
 import os
 import sys
@@ -107,11 +108,15 @@ def _stats_json(columns: Iterator, ue_count: int) -> Iterator[str]:
     tail; and one beam whose scalars are ``"%d"``, ``"%s"`` and ``"%r"`` and
     whose histogram is ``[lo, hi, "%d"]`` per cell of the grid every beam
     shares, indented to its place in the list and with the quotes around
-    ``%d`` and ``%r`` stripped.  Each beam is then one ``%`` of that
-    template.  ``%r`` is ``float.__repr__``, the form json uses for finite
-    floats, and every statistic is finite, since SatelliteState bounds the
-    orbit radius so that no square in the slant range overflows.  Role
-    values are plain identifiers that need no escaping.
+    ``%d`` and ``%r`` stripped.  That beam template is split before its
+    histogram: the scalars stay a template, and the histogram with every
+    ``%d`` written ``0`` is the text of an empty beam.  Each beam is then one
+    ``%`` for its scalars and one splice of its count into the empty text per
+    occupied cell, so a beam costs its occupied cells, not ``bins``.  ``%r``
+    is ``float.__repr__``, the form json uses for finite floats, and every
+    statistic is finite, since SatelliteState bounds the orbit radius so that
+    no square in the slant range overflows.  Role values are plain
+    identifiers that need no escaping.
     """
     edges = next(columns).tolist()
     whole_run = {"ue_count": ue_count, "min_slant_km": edges[0], "max_slant_km": edges[-1]}
@@ -121,10 +126,33 @@ def _stats_json(columns: Iterator, ue_count: int) -> Iterator[str]:
     template = json.dumps({"beam_id": "%d", "role": "%s", "ue_count": "%d", **dict.fromkeys(floats, "%r"), "histogram": cells}, indent=2)
     del edges, cells
     template = template.replace("\n", separator[1:]).replace('"%d"', "%d").replace('"%r"', "%r")
+    cut = template.index('"histogram"')
+    scalars, histogram = template[:cut], template[cut:]
+    pieces = histogram.split("%d")
+    empty = "0".join(pieces)
+    # Where each cell's count starts in the empty text: its piece and those
+    # before it, and the one-character "0" of each earlier cell.
+    starts = np.cumsum([len(piece) + 1 for piece in pieces[:-1]]) - 1
+    del template, histogram, pieces
     for *fields, counts in columns:
-        for *values, row in zip(*(c.tolist() for c in fields), counts.tolist()):
-            yield head + template % (*values, *row)
+        bins = counts.shape[1]
+        flat = np.flatnonzero(counts)
+        # Each occupied cell's start and count, made Python numbers lazily,
+        # and each beam's number of occupied cells, since flat is in row
+        # order.
+        cells = zip(memoryview(starts[flat % bins]), memoryview(counts.reshape(-1)[flat]))
+        per_beam = np.diff(np.searchsorted(flat, np.arange(0, counts.size + 1, bins))).tolist()
+        del flat
+        for values, occupied in zip(zip(*(c.tolist() for c in fields)), per_beam):
+            text = [head, scalars % values]
+            end = 0
+            for start, count in itertools.islice(cells, occupied):
+                text += empty[end:start], str(count)
+                end = start + 1
+            text.append(empty[end:])
+            yield "".join(text)
             head = separator
+        del cells, fields, counts  # released before the next chunk is made
     yield tail + "\n"
 
 

@@ -247,14 +247,14 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
             uniforms[row, 2 * j : 2 * j + 2] = rng.random(), rng.random()
     del scaled
     # The sampler's Generator is stood in for by the decoded values, served
-    # in call order and made Python numbers one at a time by a memoryview
-    # of each beam's row.  Its two methods are C-level callables:
-    # integers(6) is next(triangle_values, 6), whose default is never
-    # reached, since exactly n indices are fed per beam and the sampler asks
-    # for one per UE.  Each beam's centre is one point, made from the
-    # layout's columns and fed n times.
-    triangle_values = itertools.chain.from_iterable(map(memoryview, triangles))
-    uniform_values = itertools.chain.from_iterable(map(memoryview, uniforms))
+    # in call order and made Python numbers one at a time by one memoryview
+    # of each whole array, its beams' rows end to end.  Its two methods are
+    # C-level callables: integers(6) is next(triangle_values, 6), whose
+    # default is never reached, since exactly n indices are fed per beam and
+    # the sampler asks for one per UE.  Each beam's centre is one point, made
+    # from the layout's columns and fed n times.
+    triangle_values = iter(memoryview(triangles.reshape(-1)))
+    uniform_values = iter(memoryview(uniforms.reshape(-1)))
     draws = SimpleNamespace(integers=functools.partial(next, triangle_values), random=uniform_values.__next__)
     beam_centres = map(_uv_point, layout.beams.u.tolist(), layout.beams.v.tolist())
     centres = itertools.chain.from_iterable(map(itertools.repeat, beam_centres, itertools.repeat(n)))

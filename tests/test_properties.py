@@ -97,9 +97,32 @@ stat_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from
 stat_counts = st.integers(0, 2**31)
 
 
+# A count of one to ten digits.
+positive_counts = st.sampled_from([1, 9, 10, 99, 100, 12345, 2**31]) | st.integers(1, 2**31)
+
+
 @st.composite
-def stat_chunks(draw, bins):
-    """One chunk of ``analysis._stat_columns``: 1 to 4 beams' columns."""
+def sparse_rows(draw, bins):
+    """One beam's ``bins`` histogram counts, mostly 0: a few cells or none,
+    only the first cell, only the last, or every cell."""
+    kind = draw(st.sampled_from(["few", "first", "last", "every"]))
+    if kind == "every":
+        return draw(st.lists(positive_counts, min_size=bins, max_size=bins))
+    if kind == "few":
+        cells = draw(st.lists(st.integers(0, bins - 1), max_size=3))
+    else:
+        cells = [0] if kind == "first" else [bins - 1]
+    row = [0] * bins
+    for cell in cells:
+        row[cell] = draw(positive_counts)
+    return row
+
+
+@st.composite
+def stat_chunks(draw, bins, rows=None):
+    """One chunk of ``analysis._stat_columns``: 1 to 4 beams' columns, with
+    histogram rows drawn from ``rows``, by default any ``bins`` counts."""
+    rows = st.lists(stat_counts, min_size=bins, max_size=bins) if rows is None else rows
     beams = draw(st.integers(1, 4))
 
     def column(values, dtype=None):
@@ -110,17 +133,13 @@ def stat_chunks(draw, bins):
         column(st.sampled_from([role.value for role in BeamRole])),
         column(stat_counts, np.int64),
         *(column(stat_floats, np.float64) for _ in range(5)),
-        column(st.lists(stat_counts, min_size=bins, max_size=bins), np.int64).reshape(beams, bins),
+        column(rows, np.int64).reshape(beams, bins),
     ]
 
 
-@deterministic
-@given(data=st.data(), bins=st.integers(1, 5), ue_count=stat_counts)
-def test_stats_writer_writes_what_json_writes(data, bins, ue_count):
-    # The writer's %r must write every finite float as json does, not only
-    # those the pipeline produces.
-    edges = data.draw(st.lists(stat_floats, min_size=bins + 1, max_size=bins + 1))
-    chunks = data.draw(st.lists(stat_chunks(bins), min_size=1, max_size=3))
+def json_stats_text(edges, chunks, ue_count):
+    """What ``json`` writes for the ``stats.json`` document of the bin
+    ``edges``, the ``_stat_columns`` ``chunks`` and ``ue_count``."""
     names = ("beam_id", "role", "ue_count", "min_slant_km", "max_slant_km", "mean_slant_km", "min_elevation_deg", "max_elevation_deg")
     beams = [
         {**dict(zip(names, values)), "histogram": [[lo, hi, count] for lo, hi, count in zip(edges, edges[1:], row)]}
@@ -132,8 +151,33 @@ def test_stats_writer_writes_what_json_writes(data, bins, ue_count):
         "global": {"ue_count": ue_count, "min_slant_km": edges[0], "max_slant_km": edges[-1]},
         "beams": beams,
     }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@deterministic
+@given(data=st.data(), bins=st.integers(1, 5), ue_count=stat_counts)
+def test_stats_writer_writes_what_json_writes(data, bins, ue_count):
+    # The writer's %r must write every finite float as json does, not only
+    # those the pipeline produces.
+    edges = data.draw(st.lists(stat_floats, min_size=bins + 1, max_size=bins + 1))
+    chunks = data.draw(st.lists(stat_chunks(bins), min_size=1, max_size=3))
     text = "".join(_stats_json(iter([np.array(edges), *chunks]), ue_count))
-    assert text == json.dumps(doc, indent=2) + "\n"
+    assert text == json_stats_text(edges, chunks, ue_count)
+
+
+@deterministic
+@given(data=st.data(), bins=st.integers(0, 64), ue_count=stat_counts)
+def test_stats_writer_splices_the_occupied_cells_as_json_writes(data, bins, ue_count):
+    # The writer splices only the nonzero counts into an empty beam's text;
+    # the rows set no cell, a few, the first or the last only, or all of
+    # them.  bins=0 stands for the one cell [lo, lo] of equal slant ranges.
+    if bins:
+        edges = data.draw(st.lists(stat_floats, min_size=bins + 1, max_size=bins + 1))
+    else:
+        edges, bins = [data.draw(stat_floats)] * 2, 1
+    chunks = data.draw(st.lists(stat_chunks(bins, sparse_rows(bins)), min_size=1, max_size=3))
+    text = "".join(_stats_json(iter([np.array(edges), *chunks]), ue_count))
+    assert text == json_stats_text(edges, chunks, ue_count)
 
 
 @deterministic

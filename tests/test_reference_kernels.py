@@ -367,7 +367,7 @@ VARIANTS = {
 }
 
 
-@pytest.mark.parametrize("bins", [1, 7, 50])
+@pytest.mark.parametrize("bins", [1, 7, 50, 500])
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("name", ["dense", "wide", "odd"])
 def test_beam_stats_and_stats_json_match_reference(golden_drops, name, variant, bins):
