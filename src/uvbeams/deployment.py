@@ -91,8 +91,8 @@ def beam_rng(seed: int, beam_id: int) -> np.random.Generator:
     stream rule, see :data:`RNG_STREAM_RULE`.  ``seed`` must be an unsigned
     64-bit integer and ``beam_id`` an integer in ``[0, 2**32)``, else
     :class:`ValueError`."""
-    _check_count("seed", seed)
-    _check_count("beam_id", beam_id)
+    seed = _check_count("seed", seed)
+    beam_id = _check_count("beam_id", beam_id)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(beam_id,))))
 
 
@@ -102,19 +102,24 @@ def _stream_states(seed: int, beam_ids: list[int]) -> Iterator[dict]:
     ``[0, 2**32)``, so it is one spawn-key word.
 
     This is NumPy's ``SeedSequence(seed, spawn_key=(beam_id,))`` followed by
-    ``generate_state(4, np.uint64)``, with every beam's 32-bit words in one
-    ``uint32`` column, and then PCG64's seeding: two steps of its 128-bit LCG.
-    The entropy words are the seed's two 32-bit words, zero-padded to the
-    pool size of 4, then the beam id.  The tests pin it against NumPy.
+    ``generate_state(4, np.uint64)``, and then PCG64's seeding: two steps of
+    its 128-bit LCG.  The seed half of the mixing is the same for every beam
+    and is read from one ``SeedSequence(seed)``; only the id step and
+    ``generate_state`` run here, with every beam's 32-bit words in one
+    ``uint32`` column.  The tests pin it against NumPy.
     """
-    seed = int(seed)
     ids = np.array(beam_ids, np.uint32)
-    hash_const = _INIT_A
+    # SeedSequence.mix_entropy fills the 4-word pool from the seed's words,
+    # zero-padded, and mixes it with itself: 16 hashmix steps, the same for
+    # every beam, whose result is SeedSequence(seed).pool.  The pool words
+    # stay arrays, since a uint32 scalar warns when a product wraps.
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    hash_const, multiplier = _INIT_A * _MULT_A**16 & _MASK32, _MULT_A
 
     def hashmix(value):
         nonlocal hash_const
         value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
+        hash_const = hash_const * multiplier & _MASK32
         value = value * hash_const
         return value ^ value >> 16
 
@@ -122,24 +127,12 @@ def _stream_states(seed: int, beam_ids: list[int]) -> Iterator[dict]:
         result = _MIX_MULT_L * x - _MIX_MULT_R * y
         return result ^ result >> 16
 
-    # SeedSequence.mix_entropy: the pool takes the first four words, is mixed
-    # with itself, then takes the fifth word, the id.
-    pool = [hashmix(np.full_like(ids, word)) for word in (seed & _MASK32, seed >> 32, 0, 0)]
-    for i_src in range(4):
-        for i_dst in range(4):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for i_dst in range(4):
-        pool[i_dst] = mix(pool[i_dst], hashmix(ids))
+    # Then it mixes the fifth entropy word, the id, into each pool word.
+    pool = [mix(word, hashmix(ids)) for word in pool]
     # SeedSequence.generate_state: eight 32-bit words, read in little-endian
     # pairs as the 64-bit words (state_hi, state_lo, inc_hi, inc_lo).
-    hash_const = _INIT_B
-    words = []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        words.append((value ^ value >> 16).astype(np.uint64))
+    hash_const, multiplier = _INIT_B, _MULT_B
+    words = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
     state = [(lo | hi << 32).tolist() for lo, hi in zip(words[::2], words[1::2])]
     # pcg_setseq_128_srandom_r: from state 0, step, add the seed state, step.
     for state_hi, state_lo, inc_hi, inc_lo in zip(*state):
@@ -216,13 +209,12 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
     order: the fan-triangle arithmetic keeps one implementation, and a trace
     of the drop still counts one sampler call per UE.
     """
-    _check_count("ues_per_beam", ues_per_beam)
-    _check_count("seed", seed)
+    n = _check_count("ues_per_beam", ues_per_beam)
+    seed = _check_count("seed", seed)
     beam_ids = layout.beams.id.tolist()
     _check_count("beam_id", min(beam_ids, default=0))
     greatest = _check_count("beam_id", max(beam_ids, default=0))
-    _check_count("beams * ues_per_beam", (greatest + 1) * ues_per_beam)
-    n = ues_per_beam
+    _check_count("beams * ues_per_beam", (greatest + 1) * n)
     count = len(beam_ids) * n
     # One bit generator serves every beam: the for target sets it to the
     # beam's stream.  A pair of UEs reads 5 outputs: the triangle indices
@@ -269,7 +261,7 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
         _, zod, aod, alpha = _angles(u, v, d_uv, cos_alpha, *_ANGLE_COLUMNS)
         return x, y, z, slant, alpha * to_degrees, zod * to_degrees, aod * to_degrees
 
-    beam_id_column = np.repeat(layout.beams.id, ues_per_beam)
-    ue_ids = beam_id_column * ues_per_beam + np.tile(np.arange(ues_per_beam), len(layout))
+    beam_id_column = np.repeat(layout.beams.id, n)
+    ue_ids = beam_id_column * n + np.tile(np.arange(n), len(layout))
     return UeTable(ue_ids, beam_id_column, u, v, *_project_columns(u, v, sat, ground_and_link))
 

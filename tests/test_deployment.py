@@ -168,11 +168,15 @@ class TestStreamOracle:
         (child,), (want_child,) = got.spawn(1), want.spawn(1)
         assert child.bit_generator.state == want_child.bit_generator.state
 
-    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize(
+        "seed",
+        SEEDS
+        + [pytest.param(np.uint64(2**64 - 1), id="np.uint64(2**64-1)"), pytest.param(np.int64(7), id="np.int64(7)")],
+    )
     def test_one_call_for_many_beams(self, seed):
-        ids = self.IDS + list(range(2, 70))
-        states = list(_stream_states(seed, ids))
-        assert states == [self.oracle(seed, beam_id).bit_generator.state for beam_id in ids]
+        for ids in (self.IDS + list(range(2, 70)), []):
+            states = list(_stream_states(seed, ids))
+            assert states == [self.oracle(seed, beam_id).bit_generator.state for beam_id in ids]
 
     @pytest.mark.parametrize("seed", [2.5, True, -1, 2**64, "7", None])
     def test_bad_seed_rejected(self, seed):

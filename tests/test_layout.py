@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
+import numbers
 import re
 import time
 from fractions import Fraction
@@ -21,6 +22,8 @@ from uvbeams import (
     UvPoint,
     adjacent_beam_spacing,
     beam_radius,
+    beam_rng,
+    beam_stats,
     build_layout,
     center_offset,
     drop_ues,
@@ -29,6 +32,7 @@ from uvbeams import (
     hexagon_contains,
     hexagon_vertices,
     project_footprints,
+    run,
     uv_to_earth,
 )
 from uvbeams import layout as layout_module
@@ -173,7 +177,50 @@ class TestHexGrid:
             hex_grid(rings)
 
 
+class Count:
+    """A count of a type registered as :class:`numbers.Integral` that is not
+    an int: it converts with ``int()`` and supports nothing else."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __int__(self):
+        return self.value
+
+
+numbers.Integral.register(Count)
+
+
+def count_entry_result(entry, count, tmp_path):
+    """What public entry ``entry`` gives for small counts, each passed
+    through ``count``: the plain int, or :class:`Count`."""
+    config = ScenarioConfig(beamwidth_3db_deg=4.4127, altitude_km=600.0, rings=count(1), ues_per_beam=count(3), seed=count(5))
+    if entry == "ScenarioConfig":
+        return config
+    if entry == "hex_grid":
+        return hex_grid(count(2))
+    if entry == "beam_rng":
+        return beam_rng(count(5), count(3)).bit_generator.state
+    layout = build_layout(config)
+    sat = config.satellite()
+    if entry == "drop_ues":
+        return drop_ues(layout, sat, count(3), count(5))
+    if entry == "beam_stats":
+        return beam_stats(drop_ues(layout, sat, 3, 5), layout, bins=count(7))
+    if entry == "project_footprints":
+        return project_footprints(layout, sat, count(4))
+    out = tmp_path / type(count(0)).__name__
+    manifest = run(config, out, bins=count(7), edge_samples=count(4))
+    return manifest, {name: (out / name).read_bytes() for name in manifest.outputs}
+
+
 class TestCountRule:
+    @pytest.mark.parametrize(
+        "entry", ["ScenarioConfig", "hex_grid", "beam_rng", "drop_ues", "beam_stats", "project_footprints", "run"]
+    )
+    def test_integral_type_counts_as_its_int(self, entry, tmp_path):
+        assert count_entry_result(entry, Count, tmp_path) == count_entry_result(entry, int, tmp_path)
+
     @pytest.mark.parametrize("name,least,bound", COUNT_RANGES)
     def test_range_ends_accepted(self, name, least, bound):
         for value in [least] if bound is None else [least, bound - 1]:
