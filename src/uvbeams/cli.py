@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import fcntl
 import inspect
 import itertools
 import json
@@ -225,6 +226,10 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
     Each file is replaced atomically.  A stale manifest is removed before the
     data files are written and the new one is written last, so a run that
     fails partway leaves no manifest beside data files it does not describe.
+    A run holds an exclusive ``flock`` on ``out_dir`` from before that
+    removal to its end; a run into a directory another run holds raises
+    :class:`OSError` with nothing written or removed.  The lock is POSIX
+    ``flock(2)``, so the package runs on POSIX systems only.
     """
     layout = build_layout(config)
     bins = _check_count("bins", bins)
@@ -254,29 +259,38 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifest.json").unlink(missing_ok=True)
+    # Closing the descriptor releases the lock; so does the process's end.
+    lock = os.open(out_dir, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise OSError(f"{out_dir} is in use by another run") from None
+        (out_dir / "manifest.json").unlink(missing_ok=True)
 
-    _write(out_dir / "beams.csv", _csv(BEAMS_CSV_HEADER, _BEAMS_ROW, [layout.beams.columns()]))
-    _write(out_dir / "ues.csv", _csv(UES_CSV_HEADER, _UES_ROW, _ue_tables(layout, sat, n, config.seed, slants, extrema)))
-    footprints = (project_footprints(chunk, sat, edge_samples).columns() for _, chunk in _beam_chunks(layout, points))
-    _write(out_dir / "footprints.csv", _csv(FOOTPRINTS_CSV_HEADER, _FOOTPRINTS_ROW, footprints))
-    # drop_ues emits each beam's n UEs together, in layout order.
-    columns = _stat_columns(layout.beams.id, layout.beams.role, np.arange(0, len(slants), n), slants, extrema, bins)
-    _write(out_dir / "stats.json", _stats_json(columns, len(slants)))
+        _write(out_dir / "beams.csv", _csv(BEAMS_CSV_HEADER, _BEAMS_ROW, [layout.beams.columns()]))
+        _write(out_dir / "ues.csv", _csv(UES_CSV_HEADER, _UES_ROW, _ue_tables(layout, sat, n, config.seed, slants, extrema)))
+        footprints = (project_footprints(chunk, sat, edge_samples).columns() for _, chunk in _beam_chunks(layout, points))
+        _write(out_dir / "footprints.csv", _csv(FOOTPRINTS_CSV_HEADER, _FOOTPRINTS_ROW, footprints))
+        # drop_ues emits each beam's n UEs together, in layout order.
+        columns = _stat_columns(layout.beams.id, layout.beams.role, np.arange(0, len(slants), n), slants, extrema, bins)
+        _write(out_dir / "stats.json", _stats_json(columns, len(slants)))
 
-    summary = dataclasses.asdict(scenario_summary(config))
-    manifest = RunManifest(
-        version=__version__,
-        config={**dataclasses.asdict(config), "rings": config.ring_count},
-        derived={"adjacent_beam_spacing" if key == "spacing" else key: value for key, value in summary.items()},
-        rng={
-            "generator": RNG_ALGORITHM,
-            "stream_rule": RNG_STREAM_RULE,
-            "seed": config.seed,
-        },
-        outputs=OUTPUT_FILES,
-    )
-    _write(out_dir / "manifest.json", [json.dumps(dataclasses.asdict(manifest), indent=2), "\n"])
+        summary = dataclasses.asdict(scenario_summary(config))
+        manifest = RunManifest(
+            version=__version__,
+            config={**dataclasses.asdict(config), "rings": config.ring_count},
+            derived={"adjacent_beam_spacing" if key == "spacing" else key: value for key, value in summary.items()},
+            rng={
+                "generator": RNG_ALGORITHM,
+                "stream_rule": RNG_STREAM_RULE,
+                "seed": config.seed,
+            },
+            outputs=OUTPUT_FILES,
+        )
+        _write(out_dir / "manifest.json", [json.dumps(dataclasses.asdict(manifest), indent=2), "\n"])
+    finally:
+        os.close(lock)
     return manifest
 
 

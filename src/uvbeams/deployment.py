@@ -2,8 +2,8 @@
 
 Every beam gets its own PCG64 stream spawned from the run seed and the beam
 id, so the drop is reproducible bit-for-bit no matter how beams are iterated
-or parallelised.  The streams of a whole chunk of beams are derived at once
-by :func:`_stream_states`.
+or parallelised.  The streams of a whole chunk of beams are seeded at once
+by :func:`_streams`.
 """
 
 from __future__ import annotations
@@ -35,13 +35,10 @@ __all__ = [
 RNG_ALGORITHM = "PCG64"
 RNG_STREAM_RULE = "SeedSequence(seed, spawn_key=(beam_id,))"
 
-# NumPy's SeedSequence constants (numpy/random/bit_generator.pyx) and the
-# 128-bit PCG multiplier that PCG64 seeds with.
+# NumPy's SeedSequence constants (numpy/random/bit_generator.pyx).
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 # Corners k and k + 1 of fan triangle k, (c0u, c0v, c1u, c1v), as
 # hexagon_vertices reads them.
@@ -96,17 +93,26 @@ def beam_rng(seed: int, beam_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(beam_id,))))
 
 
-def _stream_states(seed: int, beam_ids: list[int]) -> Iterator[dict]:
-    """The ``PCG64.state`` of :data:`RNG_STREAM_RULE` for each beam id, in
-    order.  ``seed`` is an unsigned 64-bit integer and every id lies in
+class _Words:
+    """One beam's ``generate_state(4, np.uint64)`` words, registered by
+    :func:`_streams` as the NumPy ``ISeedSequence`` that PCG64 seeds from."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint64) -> np.ndarray:
+        return self.words
+
+
+def _streams(seed: int, beam_ids: list[int]) -> Iterator[np.random.PCG64]:
+    """A PCG64 seeded by :data:`RNG_STREAM_RULE` for each beam id, in order.
+    ``seed`` is an unsigned 64-bit integer and every id lies in
     ``[0, 2**32)``, so it is one spawn-key word.
 
-    This is NumPy's ``SeedSequence(seed, spawn_key=(beam_id,))`` followed by
-    ``generate_state(4, np.uint64)``, and then PCG64's seeding: two steps of
-    its 128-bit LCG.  The seed half of the mixing is the same for every beam
-    and is read from one ``SeedSequence(seed)``; only the id step and
-    ``generate_state`` run here, with every beam's 32-bit words in one
-    ``uint32`` column.  The tests pin it against NumPy.
+    PCG64 seeds from the rule's ``generate_state(4, np.uint64)``.  The seed
+    half of its mixing is the same for every beam and is read from one
+    ``SeedSequence(seed)``; only the id step and ``generate_state`` run
+    here, on ``uint32`` columns.  The tests pin it against NumPy.
     """
     ids = np.array(beam_ids, np.uint32)
     # SeedSequence.mix_entropy fills the 4-word pool from the seed's words,
@@ -130,20 +136,14 @@ def _stream_states(seed: int, beam_ids: list[int]) -> Iterator[dict]:
     # Then it mixes the fifth entropy word, the id, into each pool word.
     pool = [mix(word, hashmix(ids)) for word in pool]
     # SeedSequence.generate_state: eight 32-bit words, read in little-endian
-    # pairs as the 64-bit words (state_hi, state_lo, inc_hi, inc_lo).
+    # pairs as four 64-bit words.  PCG64 reads each row's buffer unchecked,
+    # so each must be C-contiguous native uint64, as astype leaves it.
     hash_const, multiplier = _INIT_B, _MULT_B
-    words = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    state = [(lo | hi << 32).tolist() for lo, hi in zip(words[::2], words[1::2])]
-    # pcg_setseq_128_srandom_r: from state 0, step, add the seed state, step.
-    for state_hi, state_lo, inc_hi, inc_lo in zip(*state):
-        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
-        initstate = state_hi << 64 | state_lo
-        yield {
-            "bit_generator": "PCG64",
-            "state": {"state": ((inc + initstate) * _PCG64_MULT + inc) & _MASK128, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    words = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1).astype("<u4").view("<u8").astype(np.uint64)
+    # Not subclassed: numpy.random at import raised a CLI run's peak memory
+    # by 0.5 MB, and a class made per call is garbage until a collection.
+    np.random.bit_generator.ISeedSequence.register(_Words)
+    yield from map(np.random.PCG64, map(_Words, words))
 
 
 def sample_point_in_hexagon(
@@ -198,16 +198,15 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
     projection would indicate a layout built past the horizon guard and is
     propagated as-is.
 
-    The draws are not made by a ``Generator``: each beam's raw PCG64 outputs
-    are read at once and decoded as NumPy's ``integers(6)`` (Lemire's
-    multiply-shift on a 32-bit half word) and ``random()`` would decode them,
-    5 outputs per pair of UEs.  A beam whose draw would take Lemire's
-    rejection branch (about 1e-9 per UE) is drawn instead by a
-    ``Generator`` on the beam's stream, which draws as :func:`beam_rng`
-    does.  Every UE is still placed by one call of
-    :func:`sample_point_in_hexagon`, fed the decoded values in its draw
-    order: the fan-triangle arithmetic keeps one implementation, and a trace
-    of the drop still counts one sampler call per UE.
+    The draws are not made by a ``Generator``: each beam's PCG64 from
+    :func:`_streams` gives its raw outputs at once, decoded as NumPy's
+    ``integers(6)`` (Lemire's multiply-shift on a 32-bit half word) and
+    ``random()`` would decode them, 5 outputs per pair of UEs.  A beam whose
+    draw would take Lemire's rejection branch (about 1e-9 per UE) is drawn
+    as :func:`beam_rng` draws, by a ``Generator`` on a fresh PCG64.  Every UE
+    is still placed by one :func:`sample_point_in_hexagon` call, fed the
+    decoded values in its draw order: the fan-triangle arithmetic keeps one
+    implementation, and a trace counts one sampler call per UE.
     """
     n = _check_count("ues_per_beam", ues_per_beam)
     seed = _check_count("seed", seed)
@@ -216,14 +215,12 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
     greatest = _check_count("beam_id", max(beam_ids, default=0))
     _check_count("beams * ues_per_beam", (greatest + 1) * n)
     count = len(beam_ids) * n
-    # One bit generator serves every beam: the for target sets it to the
-    # beam's stream.  A pair of UEs reads 5 outputs: the triangle indices
-    # from the low and high 32-bit halves of the first, then two uniforms
-    # each, (raw >> 11) * 2**-53 as in NumPy's next_double.
-    bit_generator = np.random.PCG64(0)
+    # A pair of UEs reads 5 outputs: the triangle indices from the low and
+    # high 32-bit halves of the first, then two uniforms each,
+    # (raw >> 11) * 2**-53 as in NumPy's next_double.
     raw = np.empty((len(beam_ids), 5 * (n // 2) + 3 * (n % 2)), np.uint64)
-    for i, bit_generator.state in enumerate(_stream_states(seed, beam_ids)):
-        raw[i] = bit_generator.random_raw(raw.shape[1])
+    for i, stream in enumerate(_streams(seed, beam_ids)):
+        raw[i] = stream.random_raw(raw.shape[1])
     scaled = np.ascontiguousarray(raw[:, ::5], "<u8").view("<u4")[:, :n].astype(np.uint64) * 6
     triangles = scaled >> 32
     uniforms = (raw[:, np.arange(raw.shape[1]) % 5 != 0] >> 11) * 2.0**-53
@@ -232,8 +229,7 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
     # 2**32 % 6 == 4; such a beam is drawn by a Generator on its stream
     # instead.
     for row in np.flatnonzero(((scaled & _MASK32) < 4).any(axis=1)):
-        bit_generator.state = next(_stream_states(seed, [beam_ids[row]]))
-        rng = np.random.Generator(bit_generator)
+        rng = np.random.Generator(next(_streams(seed, [beam_ids[row]])))
         for j in range(n):
             triangles[row, j] = rng.integers(6)
             uniforms[row, 2 * j : 2 * j + 2] = rng.random(), rng.random()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import fcntl
 import gc
 import itertools
 import json
@@ -276,6 +277,39 @@ class TestRun:
         assert not (out / "manifest.json").exists()
         assert not list(out.glob("*.tmp"))
         assert (out / "stats.json").read_bytes() == old_stats
+        # The failed run released its lock on the directory.
+        os.close(self.hold(out))
+
+    @staticmethod
+    def hold(directory):
+        """A descriptor of ``directory`` holding the lock a run takes.  The
+        lock belongs to the open descriptor, so it blocks a run in this
+        process too."""
+        lock = os.open(directory, os.O_RDONLY)
+        fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        return lock
+
+    def test_held_directory_is_neither_written_nor_cleared(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["--preset", "set1:leo_s", "--rings", "1", "--ues-per-beam", "2", "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # Every file, the manifest that a rerun would remove included.
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        lock = self.hold(out)
+        try:
+            with pytest.raises(OSError) as raised:
+                run(dataclasses.replace(preset("set1", "leo_s"), rings=1, ues_per_beam=2, seed=1), out)
+            assert str(out) in str(raised.value)
+            assert main(argv + ["--seed", "1"]) == 3
+        finally:
+            os.close(lock)
+        assert capsys.readouterr().err == f"uvbeams: error: {raised.value}\n"
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        # Once the holder lets go, the same run goes through.
+        assert main(argv + ["--seed", "1"]) == 0
+        assert (out / "ues.csv").read_bytes() != before["ues.csv"]
+        assert sorted(path.name for path in out.iterdir()) == sorted(OUTPUT_FILES)
 
     @pytest.mark.parametrize("config", DERIVED_CASES.values(), ids=DERIVED_CASES.keys())
     def test_manifest_derived_matches_scenario_summary(self, tmp_path, config):

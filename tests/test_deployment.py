@@ -17,10 +17,11 @@ from uvbeams import (
     drop_ues,
     hexagon_contains,
     los_geometry,
+    project_footprints,
     sample_point_in_hexagon,
     uv_to_earth,
 )
-from uvbeams.deployment import _PCG64_MULT, _stream_states
+from uvbeams.deployment import _streams
 
 # Upper 0.001 quantile of chi-square with 5 degrees of freedom.
 CHI2_CRIT_5DOF_P001 = 20.515
@@ -175,8 +176,12 @@ class TestStreamOracle:
     )
     def test_one_call_for_many_beams(self, seed):
         for ids in (self.IDS + list(range(2, 70)), []):
-            states = list(_stream_states(seed, ids))
-            assert states == [self.oracle(seed, beam_id).bit_generator.state for beam_id in ids]
+            streams = list(_streams(seed, ids))
+            assert len(streams) == len(ids)
+            for stream, beam_id in zip(streams, ids):
+                want = self.oracle(seed, beam_id).bit_generator
+                assert stream.state == want.state
+                assert stream.random_raw(16).tolist() == want.random_raw(16).tolist()
 
     @pytest.mark.parametrize("seed", [2.5, True, -1, 2**64, "7", None])
     def test_bad_seed_rejected(self, seed):
@@ -258,6 +263,17 @@ class TestDropUes:
     def test_numpy_integer_seed(self, leo_sat, frf1_layout):
         assert drop_ues(frf1_layout, leo_sat, 2, np.uint64(7)) == drop_ues(frf1_layout, leo_sat, 2, 7)
 
+    def test_zero_beams_give_empty_tables(self, leo_sat, frf1_layout):
+        # With no beam, the stream words are stacked from empty columns.
+        empty = dataclasses.replace(frf1_layout, beams=frf1_layout.beams[:0])
+        for table, shapes in [
+            (drop_ues(empty, leo_sat, 3, seed=0), [(0,)] * 11),
+            (project_footprints(empty, leo_sat, 2), [(0,), (0, 13), (0, 13), (0, 13)]),
+        ]:
+            assert len(table) == 0
+            columns = [getattr(table, name) for name in table.__slots__]
+            assert [(c.shape, c.dtype) for c in columns] == list(zip(shapes, table._dtypes))
+
     def test_projection_consistency(self, leo_sat, frf1_layout):
         for ue in drop_ues(frf1_layout, leo_sat, 5, seed=6):
             ground = uv_to_earth(ue.uv, leo_sat)
@@ -283,7 +299,7 @@ class TestDropUes:
         def no_draw(*args):
             raise AssertionError("drew a UE")
 
-        monkeypatch.setattr(uvbeams.deployment, "_stream_states", no_draw)
+        monkeypatch.setattr(uvbeams.deployment, "_streams", no_draw)
         # One beam of id 6: its ids reach 7 * ues_per_beam - 1.
         layout = dataclasses.replace(frf1_layout, beams=frf1_layout.beams[6:7])
         with pytest.raises(ValueError, match=r"beams \* ues_per_beam must be at least 1 and below 2\*\*63"):
@@ -296,7 +312,7 @@ class TestDropUes:
         def no_draw(*args):
             raise AssertionError("drew a UE")
 
-        monkeypatch.setattr(uvbeams.deployment, "_stream_states", no_draw)
+        monkeypatch.setattr(uvbeams.deployment, "_streams", no_draw)
         beams = [dataclasses.replace(beam, id=beam_id) for beam, beam_id in zip(frf1_layout, ids)]
         layout = dataclasses.replace(frf1_layout, beams=beams)
         with pytest.raises(ValueError, match=rf"^beam_id must be at least 0 and below 2\*\*32, got {bad}$"):
@@ -307,23 +323,28 @@ class TestRawDecode:
     """drop_ues decodes raw PCG64 outputs as ``integers(6)`` and ``random()``
     would.  A beam whose triangle draw takes Lemire's rejection branch, a
     32-bit half word ``h`` with ``h * 6 % 2**32 < 4``, must be drawn by a
-    real Generator.  Such states are crafted: PCG64 steps its LCG before each
-    output, so the pre-step state ``(S1 - inc) * M**-1`` makes the first
-    output the XSL-RR of ``S1``.  ``S1 = 0`` gives output 0, which rejects the
-    first UE's low half; ``S1 = 0x12345678`` gives an output whose high half
-    is 0, which rejects the second UE's.  ``h * 6`` is even, so the only
-    other rejected residue is 2: ``S1 = 715827883`` gives that low half, read
-    with one UE per beam so that the zero high half is not."""
+    real Generator.  Such states are crafted on a beam's stream: PCG64 steps
+    its LCG before each output, so the pre-step state ``(S1 - inc) * M**-1``,
+    with ``M`` its multiplier, makes the first output the XSL-RR of ``S1``.
+    ``S1 = 0`` gives output 0, which rejects the first UE's low half;
+    ``S1 = 0x12345678`` gives an output whose high half is 0, which rejects
+    the second UE's.  ``h * 6`` is even, so the only other rejected residue
+    is 2: ``S1 = 715827883`` gives that low half, read with one UE per beam
+    so that the zero high half is not."""
 
     SEED = 21
     TARGET = 2  # index of the crafted beam in a 5-beam sub-layout
+    # PCG_DEFAULT_MULTIPLIER_HIGH and _LOW of numpy/random/src/pcg64/pcg64.h.
+    PCG64_MULT = 2549297995355413924 << 64 | 4865540595714422341
 
     @staticmethod
-    def crafted_state(beam_id, post_step):
-        state = next(_stream_states(TestRawDecode.SEED, [beam_id]))
+    def crafted_stream(beam_id, post_step):
+        stream = next(_streams(TestRawDecode.SEED, [beam_id]))
+        state = stream.state
         inc = state["state"]["inc"]
-        state["state"]["state"] = (post_step - inc) * pow(_PCG64_MULT, -1, 2**128) % 2**128
-        return state
+        state["state"]["state"] = (post_step - inc) * pow(TestRawDecode.PCG64_MULT, -1, 2**128) % 2**128
+        stream.state = state
+        return stream
 
     @pytest.mark.parametrize(
         "post_step,rejected_ue,ues_per_beam",
@@ -343,24 +364,19 @@ class TestRawDecode:
         n = ues_per_beam
         layout = dataclasses.replace(frf1_layout, beams=frf1_layout.beams[10:15])
         target = layout.beams[self.TARGET]
-        crafted = self.crafted_state(target.id, post_step)
-        real_streams = _stream_states
 
         def streams(seed, beam_ids):
-            for beam_id, state in zip(beam_ids, real_streams(seed, beam_ids)):
-                yield crafted if beam_id == target.id else state
+            for beam_id, stream in zip(beam_ids, _streams(seed, beam_ids)):
+                yield self.crafted_stream(beam_id, post_step) if beam_id == target.id else stream
 
         before = drop_ues(layout, leo_sat, n, self.SEED)
-        monkeypatch.setattr(uvbeams.deployment, "_stream_states", streams)
+        monkeypatch.setattr(uvbeams.deployment, "_streams", streams)
         after = drop_ues(layout, leo_sat, n, self.SEED)
 
         # The crafted first output's half word takes the rejection branch.
-        probe = np.random.PCG64()
-        probe.state = crafted
-        half = int(probe.random_raw()) >> 32 * rejected_ue & 0xFFFFFFFF
+        half = int(self.crafted_stream(target.id, post_step).random_raw()) >> 32 * rejected_ue & 0xFFFFFFFF
         assert half * 6 % 2**32 < 4
-        rng = np.random.Generator(np.random.PCG64())
-        rng.bit_generator.state = crafted
+        rng = np.random.Generator(self.crafted_stream(target.id, post_step))
         expected = [sample_point_in_hexagon(target.center_uv, layout.beam_radius, rng) for _ in range(n)]
         rows = slice(self.TARGET * n, (self.TARGET + 1) * n)
         assert [ue.uv for ue in after[rows]] == expected
