@@ -66,7 +66,9 @@ _ROWS_PER_WRITE = 64
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Everything needed to reproduce a run byte-for-byte."""
+    """The config, derived constants, stream rule and file names of a run.
+    With ``run()``'s ``bins`` and ``edge_samples``, which only the data
+    files record, the config determines every data file byte for byte."""
 
     version: str
     config: dict

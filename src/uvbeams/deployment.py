@@ -8,6 +8,7 @@ by :func:`_streams`.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -193,10 +194,10 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
     UE ids are ``beam_id * ues_per_beam + k`` so they are stable under any
     iteration order; ids past ``2**63`` are rejected by the count rule.
     ``seed`` must be an unsigned 64-bit integer and every beam id lie in
-    ``[0, 2**32)``, as for :func:`beam_rng`, else :class:`ValueError` before
-    any draw.  A :class:`~uvbeams.projection.HorizonError` from the
-    projection would indicate a layout built past the horizon guard and is
-    propagated as-is.
+    ``[0, 2**32)``, as for :func:`beam_rng`, and appear once, else
+    :class:`ValueError` before any draw.  A
+    :class:`~uvbeams.projection.HorizonError` from the projection would
+    indicate a layout built past the horizon guard and is propagated as-is.
 
     The draws are not made by a ``Generator``: each beam's PCG64 from
     :func:`_streams` gives its raw outputs at once, decoded as NumPy's
@@ -213,6 +214,10 @@ def drop_ues(layout: BeamLayout, sat: SatelliteState, ues_per_beam: int, seed: i
     beam_ids = layout.beams.id.tolist()
     _check_count("beam_id", min(beam_ids, default=0))
     greatest = _check_count("beam_id", max(beam_ids, default=0))
+    if len(set(beam_ids)) < len(beam_ids):
+        # An id picks its beam's stream and UE ids: a repeat repeats both.
+        repeated = collections.Counter(beam_ids).most_common(1)[0][0]
+        raise ValueError(f"beam_id {repeated} appears more than once; beam ids must be distinct")
     _check_count("beams * ues_per_beam", (greatest + 1) * n)
     count = len(beam_ids) * n
     # A pair of UEs reads 5 outputs: the triangle indices from the low and

@@ -51,16 +51,12 @@ _CORNER_UNIT = tuple(
     (math.cos(math.radians(30.0 + 60.0 * k)), math.sin(math.radians(30.0 + 60.0 * k)))
     for k in range(6)
 )
-# Outward edge normals; three suffice because opposite edges share an axis.
-_EDGE_NORMAL = tuple(
-    (math.cos(math.radians(60.0 * k)), math.sin(math.radians(60.0 * k))) for k in range(3)
-)
-
 # Axial neighbour steps, counter-clockwise from +q; n times step k is the
-# corner where side k of ring n starts.
+# corner where side k of ring n starts, and side k runs along step k + 2.
 _AXIAL_DIRECTIONS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
-# The step along side k, so ring n is swept counter-clockwise from (n, 0).
-_RING_WALK = ((-1, 1), (-1, 0), (0, -1), (1, -1), (1, 0), (0, 1))
+# Outward edge normals: the first three steps in UV by build_layout's map
+# (q, r) -> (q + r/2, r * sqrt(3)/2); opposite edges share an axis.
+_EDGE_NORMAL = tuple((q + 0.5 * r, _SQRT3_2 * r) for q, r in _AXIAL_DIRECTIONS[:3])
 
 
 @dataclass(frozen=True)
@@ -96,10 +92,8 @@ class ScenarioConfig:
                 object.__setattr__(self, name, _check_count(name, value))
         # The range checks of the physical inputs belong to the code that
         # uses them; calling it here rejects a bad config at construction.
-        self.satellite()
-        beam_radius(self.beamwidth_3db_deg)
+        _lattice(self)
         frf_color(HexIndex(0, 0), self.frf)
-        center_offset(self.center_elevation_deg, self.earth_radius_km, self.altitude_km)
 
     @property
     def ring_count(self) -> int:
@@ -326,7 +320,8 @@ def _hex_columns(rings: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Ring n starts at cell 1 + 3 * n * (n - 1); its cell k is step k % n
     # along side k // n.
     side, step = np.divmod(np.arange(len(n)) - 3 * n * (n - 1), n)
-    cells = n[:, None] * np.array(_AXIAL_DIRECTIONS)[side] + step[:, None] * np.array(_RING_WALK)[side]
+    steps = np.array(_AXIAL_DIRECTIONS)
+    cells = n[:, None] * steps[side] + step[:, None] * steps[(side + 2) % 6]
     q, r = np.concatenate(([[0, 0]], cells)).T
     return q, r, np.concatenate(([0], n))
 
@@ -370,11 +365,13 @@ def _lattice(config: ScenarioConfig) -> tuple[float, float, float, float]:
     """The beam radius, spacing, centre offset and horizon limit of
     ``config``: the constants :func:`build_layout` places the beams by and
     ``scenario_summary`` reports."""
+    # The satellite first: it names an int too large for a float, not an OverflowError.
+    limit = horizon_limit(config.satellite())
     return (
         beam_radius(config.beamwidth_3db_deg),
         adjacent_beam_spacing(config.beamwidth_3db_deg),
         center_offset(config.center_elevation_deg, config.earth_radius_km, config.altitude_km),
-        horizon_limit(config.satellite()),
+        limit,
     )
 
 

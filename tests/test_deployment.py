@@ -318,6 +318,19 @@ class TestDropUes:
         with pytest.raises(ValueError, match=rf"^beam_id must be at least 0 and below 2\*\*32, got {bad}$"):
             drop_ues(layout, leo_sat, 3, seed=0)
 
+    @pytest.mark.parametrize("ids,repeated", [([0, 0], 0), ([5, 2, 5, 9], 5), ([2**32 - 1, 3, 2**32 - 1], 2**32 - 1)])
+    def test_repeated_beam_ids_rejected_before_any_draw(self, leo_sat, frf1_layout, monkeypatch, ids, repeated):
+        # Two beams of one id would draw one stream, so their UEs and UE ids
+        # would be the same and beam_stats would count them as one beam.
+        def no_draw(*args):
+            raise AssertionError("drew a UE")
+
+        monkeypatch.setattr(uvbeams.deployment, "_streams", no_draw)
+        beams = [dataclasses.replace(beam, id=beam_id) for beam, beam_id in zip(frf1_layout, ids)]
+        layout = dataclasses.replace(frf1_layout, beams=beams)
+        with pytest.raises(ValueError, match=rf"^beam_id {repeated} appears more than once; beam ids must be distinct$"):
+            drop_ues(layout, leo_sat, 2, seed=0)
+
 
 class TestRawDecode:
     """drop_ues decodes raw PCG64 outputs as ``integers(6)`` and ``random()``

@@ -314,6 +314,30 @@ class TestHexagonGeometry:
         assert not hexagon_contains(center, 0.05, UvPoint(apothem * 1.001, 0.0))
         assert not hexagon_contains(center, 0.05, UvPoint(0.06, 0.0))
 
+    def test_edge_normals_are_the_first_three_axial_steps(self):
+        # Opposite edges share a normal's axis: normal k is perpendicular to
+        # the edges that end at corner k and at corner k + 3.
+        normals = layout_module._EDGE_NORMAL
+        assert normals == ((1.0, 0.0), (0.5, SQRT3 / 2.0), (-0.5, SQRT3 / 2.0))
+        corners = hexagon_vertices(UvPoint(0.0, 0.0), 1.0)
+        ulp = 2.0**-52
+        for k, (nu, nv) in enumerate(normals):
+            assert abs(math.hypot(nu, nv) - 1.0) <= 2 * ulp
+            for end in (k, k + 3):
+                a, b = corners[end - 1], corners[end]
+                assert abs((b.u - a.u) * nu + (b.v - a.v) * nv) <= 4 * ulp
+
+    def test_contains_edge_midpoints_and_rejects_them_pushed_out(self):
+        center = UvPoint(0.0, 0.0)
+        corners = hexagon_vertices(center, 1.0)
+        for a, b in zip(corners, corners[1:] + corners[:1]):
+            mu, mv = (a.u + b.u) / 2.0, (a.v + b.v) / 2.0
+            assert hexagon_contains(center, 1.0, UvPoint(mu, mv), tol=1e-12)
+            # The midpoint lies along the edge's outward normal, at the
+            # apothem sqrt(3)/2.
+            scale = 1.0 + 1e-9 / math.hypot(mu, mv)
+            assert not hexagon_contains(center, 1.0, UvPoint(mu * scale, mv * scale), tol=1e-12)
+
     @pytest.mark.parametrize(
         "center,radius,point",
         [
