@@ -238,9 +238,13 @@ def footprint_area_km2(footprint: Footprint) -> float:
 
     Beam footprints are tiny compared to the Earth, so the planar polygon
     area is an adequate size/distortion metric; it is not a spherical area.
+    A boundary with no point besides the repeated first raises
+    :class:`ValueError`.
     """
     pts = footprint.boundary[:-1]
     n = len(pts)
+    if not n:
+        raise ValueError(f"footprint of beam {footprint.beam_id} has no boundary points besides the repeated first one")
     cx = sum(p.x_km for p in pts) / n
     cy = sum(p.y_km for p in pts) / n
     cz = sum(p.z_km for p in pts) / n

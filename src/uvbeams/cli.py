@@ -57,9 +57,7 @@ OUTPUT_FILES = ("beams.csv", "ues.csv", "footprints.csv", "stats.json", "manifes
 BEAMS_CSV_HEADER = "id,q,r,u,v,color,role"
 UES_CSV_HEADER = "ue_id,beam_id,u,v,x_km,y_km,z_km,slant_km,elev_deg,zod_deg,aod_deg"
 FOOTPRINTS_CSV_HEADER = "beam_id,vertex_idx,x_km,y_km,z_km"
-_BEAMS_ROW = "%d,%d,%d,%.9g,%.9g,%d,%s\n"
-_UES_ROW = "%d,%d" + ",%.9g" * 9 + "\n"
-_FOOTPRINTS_ROW = "%d,%d,%.9g,%.9g,%.9g\n"
+_CELL = {"i": "%d", "f": "%.9g", "U": "%s"}
 # CSV lines per string handed to the file: fewer, longer writes.
 _ROWS_PER_WRITE = 64
 
@@ -159,10 +157,11 @@ def _stats_json(columns: Iterator, ue_count: int) -> Iterator[str]:
     yield tail + "\n"
 
 
-def _csv(header: str, template: str, tables: Iterable[list[np.ndarray]]) -> Iterator[str]:
-    """``header``, then one ``template % row`` line per row of each table in
-    ``tables``, a list of columns, joined :data:`_ROWS_PER_WRITE` lines to a
-    string.  A table is released before the next is made.
+def _csv(header: str, tables: Iterable[list[np.ndarray]]) -> Iterator[str]:
+    """``header``, then one line per row of each table in ``tables``, a list
+    of columns, joined :data:`_ROWS_PER_WRITE` lines to a string.  A table
+    is released before the next is made.  Its row template is the
+    :data:`_CELL` format of each column's dtype kind, in column order.
 
     The columns are formatted as given, so a -0.0 would be written ``-0``.
     No float column that :func:`run` writes holds one.  Beam centres are
@@ -181,6 +180,7 @@ def _csv(header: str, template: str, tables: Iterable[list[np.ndarray]]) -> Iter
     larger."""
     yield header + "\n"
     for columns in tables:
+        template = ",".join(_CELL[c.dtype.kind] for c in columns) + "\n"
         for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
             rows = zip(*(c[start : start + _ROWS_PER_WRITE].tolist() for c in columns))
             yield "".join(map(template.__mod__, rows))
@@ -270,10 +270,10 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
             raise OSError(f"{out_dir} is in use by another run") from None
         (out_dir / "manifest.json").unlink(missing_ok=True)
 
-        _write(out_dir / "beams.csv", _csv(BEAMS_CSV_HEADER, _BEAMS_ROW, [layout.beams.columns()]))
-        _write(out_dir / "ues.csv", _csv(UES_CSV_HEADER, _UES_ROW, _ue_tables(layout, sat, n, config.seed, slants, extrema)))
+        _write(out_dir / "beams.csv", _csv(BEAMS_CSV_HEADER, [layout.beams.columns()]))
+        _write(out_dir / "ues.csv", _csv(UES_CSV_HEADER, _ue_tables(layout, sat, n, config.seed, slants, extrema)))
         footprints = (project_footprints(chunk, sat, edge_samples).columns() for _, chunk in _beam_chunks(layout, points))
-        _write(out_dir / "footprints.csv", _csv(FOOTPRINTS_CSV_HEADER, _FOOTPRINTS_ROW, footprints))
+        _write(out_dir / "footprints.csv", _csv(FOOTPRINTS_CSV_HEADER, footprints))
         # drop_ues emits each beam's n UEs together, in layout order.
         columns = _stat_columns(layout.beams.id, layout.beams.role, np.arange(0, len(slants), n), slants, extrema, bins)
         _write(out_dir / "stats.json", _stats_json(columns, len(slants)))
@@ -314,8 +314,8 @@ def _build_parser() -> _Parser:
         help="named scenario, e.g. set1:leo_s (sets beamwidth and altitude; flags override)",
     )
     # ScenarioConfig's fields and run()'s signature are the one home of the
-    # defaults, and the help reads them off both.  An unset --bins or
-    # --edge-samples leaves no attribute, and main passes only the flags given.
+    # defaults: the help reads them off both, and --bins and --edge-samples
+    # take run()'s as their values.
     default = {name: p.default for name, p in inspect.signature(run).parameters.items()}
     default.update((field.name, field.default) for field in dataclasses.fields(ScenarioConfig))
     parser.add_argument("--beamwidth-deg", dest="beamwidth_3db_deg", metavar="BEAMWIDTH_DEG", type=float, help="3 dB beamwidth in degrees")
@@ -326,8 +326,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--rings", type=int, help="hex rings around the centre beam (default 4 for FRF=1, 6 for FRF=3)")
     parser.add_argument("--ues-per-beam", type=int, help=f"UEs dropped per beam (default {default['ues_per_beam']})")
     parser.add_argument("--seed", type=int, help=f"RNG seed, unsigned 64-bit (default {default['seed']})")
-    parser.add_argument("--bins", type=int, default=argparse.SUPPRESS, help=f"slant-range histogram bins (default {default['bins']})")
-    parser.add_argument("--edge-samples", type=int, default=argparse.SUPPRESS, help=f"boundary samples per hexagon edge (default {default['edge_samples']})")
+    parser.add_argument("--bins", type=int, default=default["bins"], help=f"slant-range histogram bins (default {default['bins']})")
+    parser.add_argument("--edge-samples", type=int, default=default["edge_samples"], help=f"boundary samples per hexagon edge (default {default['edge_samples']})")
     parser.add_argument("--out", default="out", help="output directory (default ./out)")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     return parser
@@ -356,8 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-        counts = {name: value for name, value in vars(args).items() if name in ("bins", "edge_samples")}
-        manifest = run(config, Path(args.out), **counts)
+        manifest = run(config, Path(args.out), args.bins, args.edge_samples)
     except (ValueError, OSError) as exc:
         print(f"uvbeams: error: {exc}", file=sys.stderr)
         if isinstance(exc, HorizonError):

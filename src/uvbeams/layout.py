@@ -144,12 +144,12 @@ class Beam:
 class _Table:
     """Columns of one length, and the record of each row.  A subclass's
     ``__slots__`` name its columns, one for each of its ``_dtypes``, then
-    the values every row shares, which the constructor takes by keyword;
-    its ``_record`` makes one row's record from the row's cells, each the
-    ``tolist()`` of its element: a Python number, or a list for a row of a
-    2-D column.  An int index and iteration yield records, a slice yields a
-    table of the same class and shared values, and ``==`` compares every
-    column and shared value."""
+    the values every row shares, which the constructor takes by keyword,
+    all of them and no other; its ``_record`` makes one row's record from
+    the row's cells, each the ``tolist()`` of its element: a Python number,
+    or a list for a row of a 2-D column.  An int index and iteration yield
+    records, a slice yields a table of the same class and shared values, and
+    ``==`` compares every column and shared value."""
 
     # Plain classes: as dataclasses they would add about a millisecond to
     # import.
@@ -157,7 +157,10 @@ class _Table:
     _dtypes: tuple = ()
 
     def __init__(self, *columns: np.ndarray, **shared) -> None:
-        values = (*columns, *map(shared.pop, self.__slots__[len(self._dtypes) :]))
+        names = self.__slots__[len(self._dtypes) :]
+        if shared.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the keyword arguments {list(names)}, got {list(shared)}")
+        values = (*columns, *map(shared.pop, names))
         for name, value in zip(self.__slots__, values, strict=True):
             setattr(self, name, value)
 
@@ -327,14 +330,12 @@ def _hex_columns(rings: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def frf_color(index: HexIndex, frf: int) -> int:
-    """Reuse colour of a cell; ``(q - r) mod 3`` three-colours the lattice so
-    no two edge-adjacent beams share a colour.  ``index`` may hold integer
+    """Reuse colour of a cell, ``(q - r) mod frf``: 0 at FRF 1, and at FRF 3
+    no two edge-adjacent beams share one.  ``index`` may hold integer
     columns ``q`` and ``r``, as :func:`build_layout` passes them."""
-    if frf == 1:
-        return 0
-    if frf == 3:
-        return (index.q - index.r) % 3
-    raise ValueError(f"unsupported frequency reuse factor {_shown(frf)}; expected 1 or 3")
+    if frf not in (1, 3):
+        raise ValueError(f"unsupported frequency reuse factor {_shown(frf)}; expected 1 or 3")
+    return (index.q - index.r) % int(frf)
 
 
 def hexagon_vertices(center: UvPoint, circumradius: float) -> tuple[UvPoint, ...]:
@@ -403,8 +404,8 @@ def build_layout(config: ScenarioConfig) -> BeamLayout:
             f"beam {i} at hex ({q[i]}, {r[i]}) spans UV radius {extent[i].item():.9g}, "
             f"beyond the horizon limit {limit:.9g}"
         )
-    # frf_color reads only .q and .r; FRF 1's scalar 0 becomes a column.
-    color = np.zeros_like(q) + frf_color(SimpleNamespace(q=q, r=r), config.frf)
+    # frf_color reads only .q and .r.
+    color = frf_color(SimpleNamespace(q=q, r=r), config.frf)
     role = np.where(ring <= STATISTICS_RINGS, BeamRole.STATISTICS.value, BeamRole.INTERFERENCE.value)
     beams = BeamTable(np.arange(len(q), dtype=np.int64), q, r, u, v, color, role, radius=radius)
     return BeamLayout(beams, radius, spacing, u_c)

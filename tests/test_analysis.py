@@ -410,6 +410,12 @@ class TestFootprintArea:
                 area = footprint_area_km2(Footprint(0, (*points, points[0])))
                 assert abs(area / exact - 1.0) <= 1e-12, (polar, radius)
 
+    @pytest.mark.parametrize("boundary", [(), (GroundPoint(1.0, 2.0, 3.0),)])
+    def test_a_boundary_of_no_points_is_rejected(self, boundary):
+        # The repeated last point is dropped, which leaves no point.
+        with pytest.raises(ValueError, match="beam 4"):
+            footprint_area_km2(Footprint(4, boundary))
+
     @pytest.mark.parametrize(
         "earth_radius",
         [6371.0, 1e150, math.sqrt(sys.float_info.max) / 2.01, 1e-100, 4.04 * math.sqrt(sys.float_info.min)],

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import fcntl
+import functools
 import gc
+import inspect
 import itertools
 import json
 import math
@@ -134,18 +136,20 @@ class TestRun:
         assert manifest.outputs == OUTPUT_FILES
 
     def test_csv_headers_and_row_counts(self, run_dir):
+        # The header is the one statement of a file's width: every row has
+        # a cell per name in it.  Footprints are closed polylines: 6 edges x
+        # 4 samples + repeated first point.
         out, _ = run_dir
-        beams = (out / "beams.csv").read_text().splitlines()
-        assert beams[0] == BEAMS_CSV_HEADER
-        assert len(beams) == 1 + 61
-        ues = (out / "ues.csv").read_text().splitlines()
-        assert ues[0] == UES_CSV_HEADER
-        assert len(ues) == 1 + 610
-        assert all(len(line.split(",")) == 11 for line in ues[1:])
-        footprints = (out / "footprints.csv").read_text().splitlines()
-        assert footprints[0] == FOOTPRINTS_CSV_HEADER
-        # Closed polylines: 6 edges x 4 samples + repeated first point.
-        assert len(footprints) == 1 + 61 * (6 * 4 + 1)
+        files = [
+            ("beams.csv", BEAMS_CSV_HEADER, 61),
+            ("ues.csv", UES_CSV_HEADER, 610),
+            ("footprints.csv", FOOTPRINTS_CSV_HEADER, 61 * (6 * 4 + 1)),
+        ]
+        for name, header, rows in files:
+            lines = (out / name).read_text().splitlines()
+            assert lines[0] == header and len(lines) == 1 + rows, name
+            assert all(len(line.split(",")) == len(header.split(",")) for line in lines[1:]), name
+        assert [len(header.split(",")) for _, header, _ in files] == [7, 11, 5]
 
     def test_manifest_contents(self, run_dir):
         out, _ = run_dir
@@ -361,15 +365,18 @@ def signed_zero_columns(config, seeds, edge_samples):
 
 class TestCsvWriter:
     def test_rows_across_chunks_leave_the_columns_as_given(self):
-        # Two tables, split inside a 64-row write, over more than two _CHUNKs.
+        # Two tables, split inside a 64-row write, over more than two _CHUNKs;
+        # each row's cells are formatted by their column's dtype kind.
         n = 2 * _CHUNK + 3
         ints = np.arange(n) - 1
         floats = np.arange(n) * 0.5
         floats[1] = -1.5
-        tables = [[ints[:100], floats[:100]], [ints[100:], floats[100:]]]
+        texts = np.where(ints % 2 == 0, "even", "odd")
+        tables = [[c[:100] for c in (ints, floats, texts)], [c[100:] for c in (ints, floats, texts)]]
         given = [list(map(id, table)) for table in tables]
-        text = "".join(_csv("h", "%d,%.9g\n", tables))
-        assert text == "h\n-1,0\n0,-1.5\n" + "".join("%d,%.9g\n" % (i - 1, 0.5 * i) for i in range(2, n))
+        text = "".join(_csv("h", tables))
+        rows = "".join("%d,%.9g,%s\n" % (i - 1, 0.5 * i, ("odd", "even")[i % 2]) for i in range(2, n))
+        assert text == "h\n-1,0,odd\n0,-1.5,even\n" + rows
         assert [list(map(id, table)) for table in tables] == given
         assert floats[1] == -1.5 and (floats[2:] == np.arange(2, n) * 0.5).all()
 
@@ -628,19 +635,21 @@ class TestMain:
 
     def test_unset_counts_leave_run_defaults(self, tmp_path, monkeypatch):
         # run()'s signature is the one home of the bins and edge-sample
-        # defaults: the parser records no value, and main passes none.
+        # defaults: the parser takes them from it, and main passes them on.
+        defaults = {name: p.default for name, p in inspect.signature(run).parameters.items()}
         args = _build_parser().parse_args([])
-        assert not hasattr(args, "bins") and not hasattr(args, "edge_samples")
+        assert (args.bins, args.edge_samples) == (defaults["bins"], defaults["edge_samples"])
         passed = []
 
-        def fake_run(config, out_dir, bins="unset", edge_samples="unset"):
-            passed.append((bins, edge_samples))
+        @functools.wraps(run)  # keeps run()'s signature, and so its defaults
+        def fake_run(config, out_dir, *counts):
+            passed.append(counts)
             raise OSError("not run")
 
         monkeypatch.setattr(uvbeams.cli, "run", fake_run)
         assert main(["--preset", "set1:leo_s", "--out", str(tmp_path)]) == 3
         assert main(["--preset", "set1:leo_s", "--bins", "7", "--out", str(tmp_path)]) == 3
-        assert passed == [("unset", "unset"), (7, "unset")]
+        assert passed == [(defaults["bins"], defaults["edge_samples"]), (7, defaults["edge_samples"])]
 
     def test_help_shows_the_config_defaults(self):
         # The help reads each default off ScenarioConfig, so a changed field

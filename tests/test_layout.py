@@ -551,6 +551,18 @@ class TestTableProtocol:
         with pytest.raises(IndexError):
             empty[0]
 
+    def test_the_shared_values_are_taken_by_keyword_all_and_only(self, table):
+        # As a signature would: a missing or an unknown keyword is a
+        # TypeError, from the constructor and from from_rows alike.
+        shared = _shared(table)
+        assert type(table)(*table._stored(), **shared) == table
+        wrong = [{**shared, "colour": 3}, *({k: v for k, v in shared.items() if k != name} for name in shared)]
+        for keywords in wrong:
+            with pytest.raises(TypeError, match=type(table).__name__):
+                type(table)(*table._stored(), **keywords)
+            with pytest.raises(TypeError, match=type(table).__name__):
+                type(table).from_rows([], **keywords)
+
     @pytest.mark.parametrize("part", [slice(-7, None), slice(None, -50), slice(-2, -20, -3), slice(1, None, 4), slice(None, None, -6)])
     def test_negative_and_stepped_slices(self, table, part):
         records = list(table)
