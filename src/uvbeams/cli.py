@@ -57,8 +57,8 @@ OUTPUT_FILES = ("beams.csv", "ues.csv", "footprints.csv", "stats.json", "manifes
 BEAMS_CSV_HEADER = "id,q,r,u,v,color,role"
 UES_CSV_HEADER = "ue_id,beam_id,u,v,x_km,y_km,z_km,slant_km,elev_deg,zod_deg,aod_deg"
 FOOTPRINTS_CSV_HEADER = "beam_id,vertex_idx,x_km,y_km,z_km"
-_CELL = {"i": "%d", "f": "%.9g", "U": "%s"}
-# CSV lines per string handed to the file: fewer, longer writes.
+_CELL = {"i": b"%d", "f": b"%.9g", "S": b"%s"}
+# CSV lines per chunk handed to the file: fewer, longer writes.
 _ROWS_PER_WRITE = 64
 
 
@@ -94,48 +94,51 @@ def preset(set_name: str, scenario: str) -> ScenarioConfig:
     )
 
 
-def _stats_json(columns: Iterator, ue_count: int) -> Iterator[str]:
+def _stats_json(columns: Iterator, ue_count: int) -> Iterator[bytes]:
     """Yield ``stats.json`` one beam at a time from ``columns``, the bin
     edges and then the column chunks of ``analysis._stat_columns``.
 
-    The text is byte-identical to ``json.dump(doc, f, indent=2)`` followed by
-    a newline, where ``doc`` holds the count of bins written (one when every
+    The bytes are the ASCII text of ``json.dump(doc, f, indent=2)`` and a
+    newline, where ``doc`` holds the count of bins written (one when every
     slant range is equal, whatever was asked for), the global UE count and
     slant extrema, and one object per beam with its histogram as
     ``[lo, hi, count]`` lists.  The global extrema are the ends of the grid,
     which linspace keeps exactly.  ``json`` renders the text from
-    placeholder documents once per run: ``doc`` with two ``None`` beams,
-    split on ``null`` into the head, the separator between beams and the
-    tail; and one beam whose scalars are ``"%d"``, ``"%s"`` and ``"%r"`` and
-    whose histogram is ``[lo, hi, "%d"]`` per cell of the grid every beam
-    shares, indented to its place in the list and with the quotes around
-    ``%d`` and ``%r`` stripped.  That beam template is split before its
-    histogram: the scalars stay a template, and the histogram with every
-    ``%d`` written ``0`` is the text of an empty beam.  Each beam is then one
-    ``%`` for its scalars and one splice of its count into the empty text per
-    occupied cell, so a beam costs its occupied cells, not ``bins``.  ``%r``
-    is ``float.__repr__``, the form json uses for finite floats, and every
-    statistic is finite, since SatelliteState bounds the orbit radius so that
-    no square in the slant range overflows.  Role values are plain
+    placeholder documents once per run, encoded once: ``doc`` with two
+    ``None`` beams, split on ``null`` into the head, the separator between
+    beams and the tail; and one beam whose scalars are ``"%d"``, ``"%s"``
+    and ``"%a"`` and whose histogram is ``[lo, hi, "%d"]`` per cell of the
+    grid every beam shares, indented to its place in the list and with the
+    quotes around ``%d`` and ``%a`` stripped.  That beam template is split
+    before its histogram: the scalars stay a template, and the histogram
+    with every ``%d`` written ``0`` is the text of an empty beam.  Each beam
+    is then one ``%`` for its scalars and one splice of its count into the
+    empty text per occupied cell, from ``memoryview`` slices that only the
+    join copies, so a beam costs its occupied cells, not ``bins``.  In
+    ``bytes``, ``%a`` is ``ascii()``, for a float ``float.__repr__``, the
+    form json uses for finite floats, and every statistic is finite, since
+    SatelliteState bounds the orbit radius so that no square in the slant
+    range overflows.  Role values, cast to bytes here, are plain ASCII
     identifiers that need no escaping.
     """
     edges = next(columns).tolist()
     whole_run = {"ue_count": ue_count, "min_slant_km": edges[0], "max_slant_km": edges[-1]}
-    head, separator, tail = json.dumps({"bins": len(edges) - 1, "global": whole_run, "beams": [None, None]}, indent=2).split("null")
+    head, separator, tail = json.dumps({"bins": len(edges) - 1, "global": whole_run, "beams": [None, None]}, indent=2).encode().split(b"null")
     floats = ("min_slant_km", "max_slant_km", "mean_slant_km", "min_elevation_deg", "max_elevation_deg")
     cells = [[lo, hi, "%d"] for lo, hi in zip(edges, edges[1:])]
-    template = json.dumps({"beam_id": "%d", "role": "%s", "ue_count": "%d", **dict.fromkeys(floats, "%r"), "histogram": cells}, indent=2)
+    template = json.dumps({"beam_id": "%d", "role": "%s", "ue_count": "%d", **dict.fromkeys(floats, "%a"), "histogram": cells}, indent=2)
     del edges, cells
-    template = template.replace("\n", separator[1:]).replace('"%d"', "%d").replace('"%r"', "%r")
-    cut = template.index('"histogram"')
+    template = template.encode().replace(b"\n", separator[1:]).replace(b'"%d"', b"%d").replace(b'"%a"', b"%a")
+    cut = template.index(b'"histogram"')
     scalars, histogram = template[:cut], template[cut:]
-    pieces = histogram.split("%d")
-    empty = "0".join(pieces)
+    pieces = histogram.split(b"%d")
+    empty = memoryview(b"0".join(pieces))
     # Where each cell's count starts in the empty text: its piece and those
-    # before it, and the one-character "0" of each earlier cell.
+    # before it, and the one-byte "0" of each earlier cell.
     starts = np.cumsum([len(piece) + 1 for piece in pieces[:-1]]) - 1
     del template, histogram, pieces
     for *fields, counts in columns:
+        fields[1] = fields[1].astype(np.bytes_)
         bins = counts.shape[1]
         flat = np.flatnonzero(counts)
         # Each occupied cell's start and count, made Python numbers lazily,
@@ -148,20 +151,23 @@ def _stats_json(columns: Iterator, ue_count: int) -> Iterator[str]:
             text = [head, scalars % values]
             end = 0
             for start, count in itertools.islice(cells, occupied):
-                text += empty[end:start], str(count)
+                text += empty[end:start], b"%d" % count
                 end = start + 1
             text.append(empty[end:])
-            yield "".join(text)
+            yield b"".join(text)
             head = separator
         del cells, fields, counts  # released before the next chunk is made
-    yield tail + "\n"
+    yield tail + b"\n"
 
 
-def _csv(header: str, tables: Iterable[list[np.ndarray]]) -> Iterator[str]:
+def _csv(header: str, tables: Iterable[list[np.ndarray]]) -> Iterator[bytes]:
     """``header``, then one line per row of each table in ``tables``, a list
-    of columns, joined :data:`_ROWS_PER_WRITE` lines to a string.  A table
-    is released before the next is made.  Its row template is the
-    :data:`_CELL` format of each column's dtype kind, in column order.
+    of columns, joined :data:`_ROWS_PER_WRITE` lines to a ``bytes`` chunk.
+    A table is released before the next is made.  Its row template is the
+    ``bytes`` :data:`_CELL` format of each column's dtype kind, in column
+    order; a text column is cast to ASCII bytes first, and the header is
+    encoded once.  ``bytes`` ``%`` formats ints and floats with the same C
+    code as ``str`` ``%``, so each cell is the ASCII text ``str`` would give.
 
     The columns are formatted as given, so a -0.0 would be written ``-0``.
     No float column that :func:`run` writes holds one.  Beam centres are
@@ -178,12 +184,13 @@ def _csv(header: str, tables: Iterable[list[np.ndarray]]) -> Iterator[str]:
     underflow only for ``|u|`` below about 1e-170; a nonzero ``u`` or ``v``
     is a sum of terms made from a UV radius of at least ``2**-48``, far
     larger."""
-    yield header + "\n"
+    yield header.encode() + b"\n"
     for columns in tables:
-        template = ",".join(_CELL[c.dtype.kind] for c in columns) + "\n"
+        columns = [c.astype(np.bytes_) if c.dtype.kind == "U" else c for c in columns]
+        template = b",".join(_CELL[c.dtype.kind] for c in columns) + b"\n"
         for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
             rows = zip(*(c[start : start + _ROWS_PER_WRITE].tolist() for c in columns))
-            yield "".join(map(template.__mod__, rows))
+            yield b"".join(map(template.__mod__, rows))
         del columns
 
 
@@ -204,13 +211,15 @@ def _ue_tables(
         del ues  # released, as _csv releases its list, before the next drop
 
 
-def _write(path: Path, chunks: Iterable[str]) -> None:
-    """Write the text ``chunks`` to ``path`` as UTF-8 with no newline
-    translation.  The text goes to ``<name>.tmp`` first, which then replaces
-    ``path``; a failed write removes the temporary file."""
+def _write(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write the ``bytes`` ``chunks`` to ``path``, a file opened in binary
+    mode with no text layer; every writer yields ASCII text, so the bytes are
+    those a UTF-8 text write would give.  They go to ``<name>.tmp`` first,
+    which then replaces ``path``; a failed write removes the temporary
+    file."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as f:
+        with open(tmp, "wb") as f:
             f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -290,7 +299,7 @@ def run(config: ScenarioConfig, out_dir: Path, bins: int = 50, edge_samples: int
             },
             outputs=OUTPUT_FILES,
         )
-        _write(out_dir / "manifest.json", [json.dumps(dataclasses.asdict(manifest), indent=2), "\n"])
+        _write(out_dir / "manifest.json", [json.dumps(dataclasses.asdict(manifest), indent=2).encode(), b"\n"])
     finally:
         os.close(lock)
     return manifest

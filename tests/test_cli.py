@@ -272,7 +272,7 @@ class TestRun:
         old_stats = (out / "stats.json").read_bytes()
 
         def failing_stats_json(*args):
-            yield "{\n"
+            yield b"{\n"
             raise OSError("disk full")
 
         monkeypatch.setattr("uvbeams.cli._stats_json", failing_stats_json)
@@ -374,7 +374,7 @@ class TestCsvWriter:
         texts = np.where(ints % 2 == 0, "even", "odd")
         tables = [[c[:100] for c in (ints, floats, texts)], [c[100:] for c in (ints, floats, texts)]]
         given = [list(map(id, table)) for table in tables]
-        text = "".join(_csv("h", tables))
+        text = b"".join(_csv("h", tables)).decode("ascii")
         rows = "".join("%d,%.9g,%s\n" % (i - 1, 0.5 * i, ("odd", "even")[i % 2]) for i in range(2, n))
         assert text == "h\n-1,0,odd\n0,-1.5,even\n" + rows
         assert [list(map(id, table)) for table in tables] == given

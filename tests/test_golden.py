@@ -81,3 +81,12 @@ def test_output_bytes_match_golden(name, tmp_path):
     run(CONFIGS[name], tmp_path, bins=50, edge_samples=8)
     digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in OUTPUT_FILES}
     assert digests == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_output_files_are_ascii(name, tmp_path):
+    # The writers put bytes into binary files; ASCII bytes are what writing
+    # the same text as UTF-8 gives.
+    run(CONFIGS[name], tmp_path, bins=50, edge_samples=8)
+    for f in OUTPUT_FILES:
+        assert (tmp_path / f).read_bytes().isascii(), f

@@ -161,7 +161,7 @@ def test_stats_writer_writes_what_json_writes(data, bins, ue_count):
     # those the pipeline produces.
     edges = data.draw(st.lists(stat_floats, min_size=bins + 1, max_size=bins + 1))
     chunks = data.draw(st.lists(stat_chunks(bins), min_size=1, max_size=3))
-    text = "".join(_stats_json(iter([np.array(edges), *chunks]), ue_count))
+    text = b"".join(_stats_json(iter([np.array(edges), *chunks]), ue_count)).decode("ascii")
     assert text == json_stats_text(edges, chunks, ue_count)
 
 
@@ -176,8 +176,23 @@ def test_stats_writer_splices_the_occupied_cells_as_json_writes(data, bins, ue_c
     else:
         edges, bins = [data.draw(stat_floats)] * 2, 1
     chunks = data.draw(st.lists(stat_chunks(bins, sparse_rows(bins)), min_size=1, max_size=3))
-    text = "".join(_stats_json(iter([np.array(edges), *chunks]), ue_count))
+    text = b"".join(_stats_json(iter([np.array(edges), *chunks]), ue_count)).decode("ascii")
     assert text == json_stats_text(edges, chunks, ue_count)
+
+
+@deterministic
+@given(x=stat_floats | st.sampled_from([2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308]))
+def test_bytes_formats_a_float_as_str_does(x):
+    # The writers format bytes: %.9g must be the CSV cell str % writes, and
+    # %a, ascii(), the repr that json writes in stats.json.
+    assert b"%.9g" % x == ("%.9g" % x).encode()
+    assert b"%a" % x == repr(x).encode()
+
+
+@deterministic
+@given(n=st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), -1, 0, 2**63 - 1]))
+def test_bytes_formats_an_int64_as_str_does(n):
+    assert b"%d" % n == ("%d" % n).encode()
 
 
 @deterministic

@@ -378,7 +378,7 @@ def test_beam_stats_and_stats_json_match_reference(golden_drops, name, variant, 
     expected = json.dumps(ref_stats_doc(stats, len(ues)), indent=2) + "\n"
     # Lines, not one string: pytest's diff of two failing multi-megabyte
     # strings takes minutes.
-    text = "".join(_stats_json(_stat_columns(*_grouped(ues, layout), bins), len(ues)))
+    text = b"".join(_stats_json(_stat_columns(*_grouped(ues, layout), bins), len(ues))).decode("ascii")
     assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 
