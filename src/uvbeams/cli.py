@@ -58,8 +58,9 @@ BEAMS_CSV_HEADER = "id,q,r,u,v,color,role"
 UES_CSV_HEADER = "ue_id,beam_id,u,v,x_km,y_km,z_km,slant_km,elev_deg,zod_deg,aod_deg"
 FOOTPRINTS_CSV_HEADER = "beam_id,vertex_idx,x_km,y_km,z_km"
 _CELL = {"i": b"%d", "f": b"%.9g", "S": b"%s"}
-# CSV lines per chunk handed to the file: fewer, longer writes.
-_ROWS_PER_WRITE = 64
+# Fewer, longer writes: the bytes of rows or beam texts a writer joins into
+# one write, at most, unless one beam's text is longer.
+_WRITE_BYTES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,8 @@ def preset(set_name: str, scenario: str) -> ScenarioConfig:
 
 
 def _stats_json(columns: Iterator, ue_count: int) -> Iterator[bytes]:
-    """Yield ``stats.json`` one beam at a time from ``columns``, the bin
-    edges and then the column chunks of ``analysis._stat_columns``.
+    """Yield ``stats.json`` from ``columns``, the bin edges and then the
+    column chunks of ``analysis._stat_columns``.
 
     The bytes are the ASCII text of ``json.dump(doc, f, indent=2)`` and a
     newline, where ``doc`` holds the count of bins written (one when every
@@ -114,7 +115,10 @@ def _stats_json(columns: Iterator, ue_count: int) -> Iterator[bytes]:
     with every ``%d`` written ``0`` is the text of an empty beam.  Each beam
     is then one ``%`` for its scalars and one splice of its count into the
     empty text per occupied cell, from ``memoryview`` slices that only the
-    join copies, so a beam costs its occupied cells, not ``bins``.  In
+    join copies, so a beam costs its occupied cells, not ``bins``.  The
+    pieces of consecutive beams, across column chunks, are joined into
+    writes of at most :data:`_WRITE_BYTES`; a beam whose text is longer is a
+    write of its own, and the tail ends the last write.  In
     ``bytes``, ``%a`` is ``ascii()``, for a float ``float.__repr__``, the
     form json uses for finite floats, and every statistic is finite, since
     SatelliteState bounds the orbit radius so that no square in the slant
@@ -137,6 +141,7 @@ def _stats_json(columns: Iterator, ue_count: int) -> Iterator[bytes]:
     # before it, and the one-byte "0" of each earlier cell.
     starts = np.cumsum([len(piece) + 1 for piece in pieces[:-1]]) - 1
     del template, histogram, pieces
+    group, size = [], 0
     for *fields, counts in columns:
         fields[1] = fields[1].astype(np.bytes_)
         bins = counts.shape[1]
@@ -154,20 +159,29 @@ def _stats_json(columns: Iterator, ue_count: int) -> Iterator[bytes]:
                 text += empty[end:start], b"%d" % count
                 end = start + 1
             text.append(empty[end:])
-            yield b"".join(text)
+            length = sum(map(len, text))
+            if group and size + length > _WRITE_BYTES:
+                yield b"".join(group)
+                group, size = [], 0
+            group += text
+            size += length
             head = separator
         del cells, fields, counts  # released before the next chunk is made
-    yield tail + b"\n"
+    group.append(tail + b"\n")
+    yield b"".join(group)
 
 
 def _csv(header: str, tables: Iterable[list[np.ndarray]]) -> Iterator[bytes]:
     """``header``, then one line per row of each table in ``tables``, a list
-    of columns, joined :data:`_ROWS_PER_WRITE` lines to a ``bytes`` chunk.
-    A table is released before the next is made.  Its row template is the
-    ``bytes`` :data:`_CELL` format of each column's dtype kind, in column
-    order; a text column is cast to ASCII bytes first, and the header is
-    encoded once.  ``bytes`` ``%`` formats ints and floats with the same C
-    code as ``str`` ``%``, so each cell is the ASCII text ``str`` would give.
+    of columns, in ``bytes`` writes of as many rows as fit in
+    :data:`_WRITE_BYTES` at the widest a row of the table can be; the header
+    starts the first write.  A table is released before the next is made.
+    Its row template is the ``bytes`` :data:`_CELL` format of each column's
+    dtype kind, in column order.  Rows are formatted lazily from one
+    ``memoryview`` per numeric column, with no copy, and a text column is
+    cast once to a list of ASCII bytes.  ``bytes`` ``%`` formats ints and
+    floats with the same C code as ``str`` ``%``, so each cell is the ASCII
+    text ``str`` would give.
 
     The columns are formatted as given, so a -0.0 would be written ``-0``.
     No float column that :func:`run` writes holds one.  Beam centres are
@@ -184,14 +198,26 @@ def _csv(header: str, tables: Iterable[list[np.ndarray]]) -> Iterator[bytes]:
     underflow only for ``|u|`` below about 1e-170; a nonzero ``u`` or ``v``
     is a sum of terms made from a UV radius of at least ``2**-48``, far
     larger."""
-    yield header.encode() + b"\n"
+    head = header.encode() + b"\n"
     for columns in tables:
         columns = [c.astype(np.bytes_) if c.dtype.kind == "U" else c for c in columns]
         template = b",".join(_CELL[c.dtype.kind] for c in columns) + b"\n"
-        for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
-            rows = zip(*(c[start : start + _ROWS_PER_WRITE].tolist() for c in columns))
-            yield b"".join(map(template.__mod__, rows))
-        del columns
+        # The longest a row can be: per cell a comma or newline, plus 16 bytes
+        # for a %.9g float (-1.23456789e-100), the item size for text and the
+        # longer extreme for ints.
+        width = sum(
+            1 + (16 if c.dtype.kind == "f" else c.itemsize if c.dtype.kind == "S"
+                 else max(len(b"%d" % c.min(initial=0)), len(b"%d" % c.max(initial=0))))
+            for c in columns
+        )
+        per_write = max(1, _WRITE_BYTES // width)
+        rows = map(template.__mod__, zip(*(c.tolist() if c.dtype.kind == "S" else memoryview(c) for c in columns)))
+        for _ in range(0, len(columns[0]), per_write):
+            yield b"".join([head, *itertools.islice(rows, per_write)])
+            head = b""
+        del columns, rows
+    if head:
+        yield head
 
 
 def _ue_tables(

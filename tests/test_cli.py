@@ -37,7 +37,7 @@ from uvbeams import (
     run,
     scenario_summary,
 )
-from uvbeams.analysis import _grouped, _stat_columns
+from uvbeams.analysis import _beam_chunks, _grouped, _stat_columns
 from uvbeams.cli import (
     BEAMS_CSV_HEADER,
     FOOTPRINTS_CSV_HEADER,
@@ -46,6 +46,7 @@ from uvbeams.cli import (
     OUTPUT_FILES,
     PRESET_BEAMWIDTH_DEG,
     UES_CSV_HEADER,
+    _WRITE_BYTES,
     _build_parser,
     _csv,
     _stats_json,
@@ -190,6 +191,40 @@ class TestRun:
         made.clear()
         run(GOLDEN_CONFIGS["wide"], tmp_path)
         assert not made
+
+    @pytest.mark.parametrize("name", ["dense", "wide"])
+    def test_writers_hand_each_file_writes_of_about_the_write_size(self, tmp_path, monkeypatch, name):
+        # No write passes _WRITE_BYTES by more than one row or beam text, and
+        # all but a table's last write hold more than half of it; stats.json
+        # groups its beam texts across statistics chunks, as one table.
+        handed = {}
+        write = uvbeams.cli._write
+
+        def spy(path, chunks):
+            chunks = list(chunks)
+            handed[path.name] = [len(chunk) for chunk in chunks]
+            write(path, chunks)
+
+        monkeypatch.setattr("uvbeams.cli._write", spy)
+        config = GOLDEN_CONFIGS[name]
+        run(config, tmp_path)
+        layout = build_layout(config)
+        tables = {
+            "beams.csv": 1,
+            "ues.csv": len(list(_beam_chunks(layout, config.ues_per_beam))),
+            "footprints.csv": len(list(_beam_chunks(layout, 6 * 8 + 1))),
+            "stats.json": 1,
+        }
+        for file, count in tables.items():
+            text = (tmp_path / file).read_bytes()
+            if file == "stats.json":
+                # Each beam's text starts at its indented "{".
+                longest = max(map(len, text.split(b"\n    {"))) + len(b"\n    {")
+            else:
+                longest = max(map(len, text.splitlines(keepends=True)))
+            assert sum(handed[file]) == len(text), file
+            assert max(handed[file]) <= _WRITE_BYTES + longest, file
+            assert len(handed[file]) <= len(text) / (_WRITE_BYTES / 2) + count, file
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = ScenarioConfig(
@@ -365,8 +400,9 @@ def signed_zero_columns(config, seeds, edge_samples):
 
 class TestCsvWriter:
     def test_rows_across_chunks_leave_the_columns_as_given(self):
-        # Two tables, split inside a 64-row write, over more than two _CHUNKs;
-        # each row's cells are formatted by their column's dtype kind.
+        # Two tables over more than two _CHUNKs, the first inside one write
+        # and the second over several; each row's cells are formatted by
+        # their column's dtype kind.
         n = 2 * _CHUNK + 3
         ints = np.arange(n) - 1
         floats = np.arange(n) * 0.5
@@ -405,25 +441,44 @@ class TestCsvWriter:
 class TestStatsJson:
     @staticmethod
     def writer_peak(layout, sat):
-        """The longest part and the ``tracemalloc`` peak of the stats writer
-        on a 100-UE-per-beam drop, the statistics kernel included."""
+        """The longest write, the longest beam text and the ``tracemalloc``
+        peak of the stats writer on a 100-UE-per-beam drop, the statistics
+        kernel included."""
         ues = uvbeams.drop_ues(layout, sat, 100, seed=1)
+        text = b"".join(_stats_json(_stat_columns(*_grouped(ues, layout), 50), len(ues)))
+        beam = max(map(len, text.split(b"\n    {"))) + len(b"\n    {")
+        del text
         columns = _stat_columns(*_grouped(ues, layout), 50)
         gc.collect()
         tracemalloc.start()
         try:
             longest = max(len(part) for part in _stats_json(columns, len(ues)))
-            return longest, tracemalloc.get_traced_memory()[1]
+            return longest, beam, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     def test_writer_keeps_the_template_a_few_beams_and_one_chunk(self, leo_sat, frf1_layout, frf3_layout):
-        # The writer holds the beam template, a few beam texts, and one
-        # chunk's columns and transients, a few arrays of _CHUNK numbers; it
-        # keeps nothing per beam written, so 127 beams peak as 61 do.
-        longest, peak = self.writer_peak(frf3_layout, leo_sat)
-        assert peak < 4 * longest + 48 * _CHUNK
-        assert abs(peak - self.writer_peak(frf1_layout, leo_sat)[1]) < longest
+        # The writer holds the beam template, about one beam text; one write
+        # and the pieces of the few beam texts it is joined from; the next
+        # beam's pieces; and one chunk's columns and transients, a few arrays
+        # of _CHUNK numbers.  It keeps nothing per write made, so 127 beams
+        # peak as 61 do.
+        longest, beam, peak = self.writer_peak(frf3_layout, leo_sat)
+        assert beam < longest <= _WRITE_BYTES
+        assert peak < 2 * longest + 2 * beam + 48 * _CHUNK
+        assert abs(peak - self.writer_peak(frf1_layout, leo_sat)[2]) < beam
+
+    def test_a_beam_text_longer_than_a_write_is_a_write_of_its_own(self, leo_sat, frf1_layout):
+        # At 2000 bins one beam's text, about 185 kB, is longer than a write:
+        # each write holds one whole beam, the first the document's head and
+        # the last its tail.
+        ues = uvbeams.drop_ues(frf1_layout, leo_sat, 100, seed=1)
+        writes = list(_stats_json(_stat_columns(*_grouped(ues, frf1_layout), 2000), len(ues)))
+        assert len(writes) == len(frf1_layout)
+        assert all(write.count(b'"beam_id"') == 1 for write in writes)
+        assert min(map(len, writes)) > _WRITE_BYTES
+        assert writes[0].startswith(b'{\n  "bins": 2000') and writes[-1].endswith(b"\n  ]\n}\n")
+        assert all(write.startswith(b",\n    {") for write in writes[1:])
 
     def test_run_builds_no_beam_stats(self, tmp_path, monkeypatch):
         # BeamStats records are what beam_stats returns; run() streams the

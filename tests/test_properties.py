@@ -38,7 +38,7 @@ from uvbeams import (  # noqa: E402
     sample_point_in_hexagon,
     uv_to_earth,
 )
-from uvbeams.cli import OUTPUT_FILES, PRESET_BEAMWIDTH_DEG, _stats_json, preset, run  # noqa: E402
+from uvbeams.cli import OUTPUT_FILES, PRESET_BEAMWIDTH_DEG, _WRITE_BYTES, _csv, _stats_json, preset, run  # noqa: E402
 from uvbeams.projection import _ANGLE_COLUMNS, _angles, _project_columns  # noqa: E402
 
 deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -193,6 +193,37 @@ def test_bytes_formats_a_float_as_str_does(x):
 @given(n=st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), -1, 0, 2**63 - 1]))
 def test_bytes_formats_an_int64_as_str_does(n):
     assert b"%d" % n == ("%d" % n).encode()
+
+
+@deterministic
+@given(
+    lo=st.integers(-(2**63), 2**63 - 1),
+    hi=st.integers(-(2**63), 2**63 - 1),
+    words=st.lists(st.text("abcdefgh", max_size=8), min_size=1, max_size=4),
+    specials=st.lists(st.floats(), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_csv_writes_what_row_by_row_bytes_percent_writes(lo, hi, words, specials, seed):
+    # Tables of 0, 1, R - 1, R and R + 1 rows, R the rows per write: as many
+    # as fit at the widest a row can be, 16 bytes per float and a comma or
+    # newline per cell.  Int, float, text and strided float columns; the int
+    # extremes lead, so every table of two or more rows has the same R.
+    lo, hi = sorted((lo, hi))
+    rng = np.random.default_rng(seed)
+    texts = np.array(words)
+    width = (1 + max(len(b"%d" % min(lo, 0)), len(b"%d" % max(hi, 0)))) + (1 + 16) + (1 + texts.astype(np.bytes_).itemsize) + (1 + 16)
+    r = _WRITE_BYTES // width
+    ints = rng.integers(lo, hi, size=r + 1, endpoint=True)
+    ints[:2] = lo, hi
+    floats = rng.standard_normal(r + 1) * 10.0 ** rng.integers(-300, 300, r + 1)
+    floats[2 : 2 + len(specials)] = specials
+    columns = [ints, floats, texts[rng.integers(0, len(words), r + 1)], rng.standard_normal(2 * r + 2)[::2]]
+    tables = [[c[:n] for c in columns] for n in (0, 1, r - 1, r, r + 1)]
+    writes = list(_csv("h", tables))
+    rows = (b"%d,%.9g,%s,%.9g\n" % (i, f, t.encode(), x) for table in tables for i, f, t, x in zip(*(c.tolist() for c in table)))
+    assert b"".join(writes) == b"h\n" + b"".join(rows)
+    assert [write.count(b"\n") for write in writes] == [2, r - 1, r, r, 1]
+    assert list(_csv("h", tables[:1])) == [b"h\n"]
 
 
 @deterministic
