@@ -58,8 +58,8 @@ BEAMS_CSV_HEADER = "id,q,r,u,v,color,role"
 UES_CSV_HEADER = "ue_id,beam_id,u,v,x_km,y_km,z_km,slant_km,elev_deg,zod_deg,aod_deg"
 FOOTPRINTS_CSV_HEADER = "beam_id,vertex_idx,x_km,y_km,z_km"
 _CELL = {"i": b"%d", "f": b"%.9g", "S": b"%s"}
-# Fewer, longer writes: the bytes of rows or beam texts a writer joins into
-# one write, at most, unless one beam's text is longer.
+# Fewer, longer writes: the bytes of CSV rows joined into one write, at most,
+# and those a stats.json write holds before its next beam text.
 _WRITE_BYTES = 1 << 15
 
 
@@ -95,7 +95,7 @@ def preset(set_name: str, scenario: str) -> ScenarioConfig:
     )
 
 
-def _stats_json(columns: Iterator, ue_count: int) -> Iterator[bytes]:
+def _stats_json(columns: Iterator, ue_count: int) -> Iterator[bytearray]:
     """Yield ``stats.json`` from ``columns``, the bin edges and then the
     column chunks of ``analysis._stat_columns``.
 
@@ -115,10 +115,10 @@ def _stats_json(columns: Iterator, ue_count: int) -> Iterator[bytes]:
     with every ``%d`` written ``0`` is the text of an empty beam.  Each beam
     is then one ``%`` for its scalars and one splice of its count into the
     empty text per occupied cell, from ``memoryview`` slices that only the
-    join copies, so a beam costs its occupied cells, not ``bins``.  The
-    pieces of consecutive beams, across column chunks, are joined into
-    writes of at most :data:`_WRITE_BYTES`; a beam whose text is longer is a
-    write of its own, and the tail ends the last write.  In
+    write copies, so a beam costs its occupied cells, not ``bins``.  The
+    pieces of consecutive beams, across column chunks, are appended to one
+    ``bytearray`` write until it holds :data:`_WRITE_BYTES`, so a write
+    passes that by less than one beam text; the tail ends the last.  In
     ``bytes``, ``%a`` is ``ascii()``, for a float ``float.__repr__``, the
     form json uses for finite floats, and every statistic is finite, since
     SatelliteState bounds the orbit radius so that no square in the slant
@@ -141,7 +141,7 @@ def _stats_json(columns: Iterator, ue_count: int) -> Iterator[bytes]:
     # before it, and the one-byte "0" of each earlier cell.
     starts = np.cumsum([len(piece) + 1 for piece in pieces[:-1]]) - 1
     del template, histogram, pieces
-    group, size = [], 0
+    write = bytearray()
     for *fields, counts in columns:
         fields[1] = fields[1].astype(np.bytes_)
         bins = counts.shape[1]
@@ -153,22 +153,21 @@ def _stats_json(columns: Iterator, ue_count: int) -> Iterator[bytes]:
         per_beam = np.diff(np.searchsorted(flat, np.arange(0, counts.size + 1, bins))).tolist()
         del flat
         for values, occupied in zip(zip(*(c.tolist() for c in fields)), per_beam):
-            text = [head, scalars % values]
+            if len(write) >= _WRITE_BYTES:
+                yield write
+                write = bytearray()
+            write += head
+            write += scalars % values
             end = 0
             for start, count in itertools.islice(cells, occupied):
-                text += empty[end:start], b"%d" % count
+                write += empty[end:start]
+                write += b"%d" % count
                 end = start + 1
-            text.append(empty[end:])
-            length = sum(map(len, text))
-            if group and size + length > _WRITE_BYTES:
-                yield b"".join(group)
-                group, size = [], 0
-            group += text
-            size += length
+            write += empty[end:]
             head = separator
         del cells, fields, counts  # released before the next chunk is made
-    group.append(tail + b"\n")
-    yield b"".join(group)
+    write += tail + b"\n"
+    yield write
 
 
 def _csv(header: str, tables: Iterable[list[np.ndarray]]) -> Iterator[bytes]:
@@ -204,7 +203,8 @@ def _csv(header: str, tables: Iterable[list[np.ndarray]]) -> Iterator[bytes]:
         template = b",".join(_CELL[c.dtype.kind] for c in columns) + b"\n"
         # The longest a row can be: per cell a comma or newline, plus 16 bytes
         # for a %.9g float (-1.23456789e-100), the item size for text and the
-        # longer extreme for ints.
+        # longer extreme for ints; the 20 bytes of any int64 would leave
+        # footprints.csv's writes under half the write size.
         width = sum(
             1 + (16 if c.dtype.kind == "f" else c.itemsize if c.dtype.kind == "S"
                  else max(len(b"%d" % c.min(initial=0)), len(b"%d" % c.max(initial=0))))

@@ -452,20 +452,21 @@ class TestStatsJson:
         gc.collect()
         tracemalloc.start()
         try:
-            longest = max(len(part) for part in _stats_json(columns, len(ues)))
+            # map, as writelines does, drops each write before the next.
+            longest = max(map(len, _stats_json(columns, len(ues))))
             return longest, beam, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     def test_writer_keeps_the_template_a_few_beams_and_one_chunk(self, leo_sat, frf1_layout, frf3_layout):
-        # The writer holds the beam template, about one beam text; one write
-        # and the pieces of the few beam texts it is joined from; the next
-        # beam's pieces; and one chunk's columns and transients, a few arrays
-        # of _CHUNK numbers.  It keeps nothing per write made, so 127 beams
-        # peak as 61 do.
+        # The writer holds the beam template, about one beam text; one write,
+        # which a beam takes past _WRITE_BYTES, with the bytearray's spare
+        # eighth; and one chunk's columns and transients, a few arrays of
+        # _CHUNK numbers.  It keeps nothing per write made, so 127 beams peak
+        # as 61 do.
         longest, beam, peak = self.writer_peak(frf3_layout, leo_sat)
-        assert beam < longest <= _WRITE_BYTES
-        assert peak < 2 * longest + 2 * beam + 48 * _CHUNK
+        assert _WRITE_BYTES <= longest < _WRITE_BYTES + beam
+        assert peak < longest + 2 * beam + 48 * _CHUNK
         assert abs(peak - self.writer_peak(frf1_layout, leo_sat)[2]) < beam
 
     def test_a_beam_text_longer_than_a_write_is_a_write_of_its_own(self, leo_sat, frf1_layout):
